@@ -5,10 +5,12 @@ Times each registered kernel (``vt_and_static_power``, ``thermal_step``,
 exact seed chain of leaf ufuncs — on an optimiser-shaped grid, plus the
 full thermal fixed point (the hottest loop in the phase optimiser) and
 the all-scalar fast path of :func:`repro.circuits.leakage.static_power`.
-Every timed pair is asserted bitwise identical first; the wall-clock
-breakdown and the ``kernel.*`` observability counters are written to
-``BENCH_kernels.json`` (and into the shared baseline's ``kernels``
-section).
+Every timed pair is asserted bitwise identical first, then timed in
+interleaved reference/fused sample pairs, so a slow stretch of the host
+lands on both sides.  Each side's min and interquartile range, the
+``kernel.*`` observability counters and the speedups (ratio of the mins)
+are written to ``BENCH_kernels.json`` (and into the shared baseline's
+``kernels`` section).
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ GRID = (9, 21, 200, 15)
 #: Fixed-point iterations to time (the solver typically needs 6-12).
 FP_ITERS = 8
 
-#: Best-of repeats per timed section (first call warms the pool/caches).
-REPEATS = 3
+#: Interleaved (reference, fused) sample pairs per timed section, after
+#: one warm-up call of each (which fills the pool and caches).
+SAMPLES = 7
 
 
 def _operands(seed=0):
@@ -61,15 +64,28 @@ def _operands(seed=0):
     }
 
 
-def _best_of(fn, repeats=REPEATS):
-    """Min wall clock over ``repeats`` calls (first call is a warm-up)."""
-    fn()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
+def _paired(reference, fused, samples=SAMPLES):
+    """Time ``reference`` and ``fused`` in alternating sample pairs.
+
+    The side that runs first alternates between pairs.  Returns each
+    side's min and interquartile range, in seconds.
+    """
+    sides = {"reference": reference, "fused": fused}
+    times = {side: [] for side in sides}
+    for fn in sides.values():
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+    for pair in range(samples):
+        order = ("reference", "fused") if pair % 2 == 0 else ("fused", "reference")
+        for side in order:
+            start = time.perf_counter()
+            sides[side]()
+            times[side].append(time.perf_counter() - start)
+    section = {"samples": samples}
+    for side, values in times.items():
+        q1, q3 = np.percentile(values, [25, 75])
+        section[f"{side}_seconds"] = min(values)
+        section[f"{side}_iqr_seconds"] = float(q3 - q1)
+    return section
 
 
 def _with_impl(impl, name):
@@ -107,10 +123,7 @@ def _time_kernel_pair(name, call):
     reference = _with_impl("reference", name)
     fused = _with_impl("numpy", name)
     _assert_bitwise(call(reference), call(fused))
-    return {
-        "reference_seconds": _best_of(lambda: call(reference)),
-        "fused_seconds": _best_of(lambda: call(fused)),
-    }
+    return _paired(lambda: call(reference), lambda: call(fused))
 
 
 def _speedup(section):
@@ -130,19 +143,15 @@ def test_kernel_breakdown(benchmark):
         _fixed_point(reference_step, ops, ping_pong=False),
         _fixed_point(fused_step, ops, ping_pong=True),
     )
-    sections["thermal_fixed_point"] = {
-        "iterations": FP_ITERS,
-        "reference_seconds": _best_of(
-            lambda: _fixed_point(reference_step, ops, ping_pong=False)
+    sections["thermal_fixed_point"] = benchmark.pedantic(
+        lambda: _paired(
+            lambda: _fixed_point(reference_step, ops, ping_pong=False),
+            lambda: _fixed_point(fused_step, ops, ping_pong=True),
         ),
-        "fused_seconds": benchmark.pedantic(
-            lambda: _best_of(
-                lambda: _fixed_point(fused_step, ops, ping_pong=True)
-            ),
-            rounds=1,
-            iterations=1,
-        ),
-    }
+        rounds=1,
+        iterations=1,
+    )
+    sections["thermal_fixed_point"]["iterations"] = FP_ITERS
 
     # --- single-shot kernels -----------------------------------------
     sections["vt_and_static_power"] = _time_kernel_pair(
@@ -170,15 +179,11 @@ def test_kernel_breakdown(benchmark):
     boxed = tuple(np.asarray(value)[...] for value in scalars)
     assert float(static_power(*scalars)) == float(static_power(*boxed))
     calls = 200
-    sections["scalar_static_power"] = {
-        "calls": calls,
-        "fused_seconds": _best_of(
-            lambda: [static_power(*scalars) for _ in range(calls)]
-        ),
-        "reference_seconds": _best_of(
-            lambda: [static_power(*boxed) for _ in range(calls)]
-        ),
-    }
+    sections["scalar_static_power"] = _paired(
+        lambda: [static_power(*boxed) for _ in range(calls)],
+        lambda: [static_power(*scalars) for _ in range(calls)],
+    )
+    sections["scalar_static_power"]["calls"] = calls
 
     # --- per-kernel observability counters ---------------------------
     registry = MetricsRegistry()
@@ -219,11 +224,17 @@ def test_kernel_breakdown(benchmark):
 
     lines = [
         f"  {name:24s} reference {section['reference_seconds'] * 1e3:8.2f}ms"
+        f" (IQR {section['reference_iqr_seconds'] * 1e3:6.2f})"
         f"  fused {section['fused_seconds'] * 1e3:8.2f}ms"
+        f" (IQR {section['fused_iqr_seconds'] * 1e3:6.2f})"
         f"  -> {section['speedup']:.2f}x"
         for name, section in sections.items()
     ]
-    print("\nfused kernels (grid {}x{}x{}x{}):".format(*GRID))
+    print(
+        "\nfused kernels (grid {}x{}x{}x{}, min of {} interleaved pairs):".format(
+            *GRID, SAMPLES
+        )
+    )
     print("\n".join(lines))
 
     # Floors: fused paths must never lose to the seed compositions.

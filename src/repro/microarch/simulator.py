@@ -21,14 +21,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..chip.floorplan import Floorplan, default_floorplan
 from .activity import activity_factors, rho_vector
-from .pipeline import DEFAULT_CORE_CONFIG, CoreConfig, simulate, simulate_batch
+from .pipeline import DEFAULT_CORE_CONFIG, CoreConfig, simulate_batch
 from .trace import generate_trace
 from .workloads import WorkloadProfile
 
@@ -148,44 +148,9 @@ def measure_workload(
         mem_latency_cycles: Override of the L2-miss round trip used to
             derive the overlap factor (defaults to the config's).
     """
-    floorplan = floorplan or _default_floorplan_singleton()
-    key = (
-        _profile_key(profile),
-        config,
-        n_instructions,
-        seed,
-        tuple(floorplan.names),
-    )
-    cached = _cache_get(key)
-    if cached is not None:
-        return cached
-
-    trace = generate_trace(profile, n_instructions, seed)
-    full = simulate(trace, config)
-    comp = simulate(trace, config, suppress_l2_misses=True)
-
-    mr = trace.l2_misses_per_instruction
-    latency = mem_latency_cycles or config.mem_latency
-    if mr > 0.0:
-        overlap = (full.cpi - comp.cpi) / (mr * latency)
-        overlap = float(np.clip(overlap, 0.05, 1.0))
-    else:
-        overlap = 1.0  # irrelevant: no misses
-
-    measurement = WorkloadMeasurement(
-        name=profile.name,
-        phase=profile.phases[0].name if profile.phases else "",
-        domain=profile.domain,
-        cpi_comp=comp.cpi,
-        cpi_total=full.cpi,
-        l2_miss_rate=mr,
-        overlap_factor=overlap,
-        activity=activity_factors(trace, full, floorplan),
-        rho=rho_vector(trace, floorplan),
-        ipc=full.ipc,
-    )
-    _cache_put(key, measurement)
-    return measurement
+    return measure_suite_batched(
+        [(profile, config)], n_instructions, seed, floorplan, mem_latency_cycles
+    )[0]
 
 
 def measure_suite_batched(
@@ -195,17 +160,14 @@ def measure_suite_batched(
     floorplan: Optional[Floorplan] = None,
     mem_latency_cycles: Optional[int] = None,
 ) -> List[WorkloadMeasurement]:
-    """Measure many (profile, config) pairs with batched trace walks.
+    """Measure many (profile, config) pairs, one trace per profile.
 
-    The serial path regenerates the trace and re-runs :func:`simulate`
-    twice for every request; here each distinct profile generates its
-    trace once and all of its configuration variants (full and
-    L2-suppressed) advance through one
-    :func:`~repro.microarch.pipeline.simulate_batch` walk, with the
-    CPI/overlap extraction applied per lane afterwards.  Returns the
-    measurements in request order, bit-identical to calling
-    :func:`measure_workload` per request (the two share the LRU cache,
-    so mixing the paths is safe).
+    Each distinct profile generates its trace once, and all of its
+    configuration variants (full and L2-suppressed) go through one
+    :func:`~repro.microarch.pipeline.simulate_batch` call, with the
+    CPI/overlap extraction applied per variant afterwards.  Returns the
+    measurements in request order; each is the one
+    :func:`measure_workload` returns for its request alone.
     """
     floorplan = floorplan or _default_floorplan_singleton()
     floorplan_names = tuple(floorplan.names)

@@ -3,7 +3,7 @@ per (chip, core) population).
 
 Every batched tier must be bit-identical to its serial counterpart:
 
-* ``simulate_batch`` / ``measure_suite_batched`` vs per-call simulation,
+* ``measure_suite_batched`` vs per-request measurement,
 * ``retune_batched`` vs per-core ``retune``,
 * ``run_timelines_batched`` vs per-core ``run_timeline`` (RNG streams
   included),
@@ -32,11 +32,7 @@ from repro.core.state import Configuration
 from repro.core.timeline import run_timeline, run_timelines_batched
 from repro.exps.runner import ExperimentRunner, RunnerConfig
 from repro.microarch.phases import generate_phase_stream
-from repro.microarch.pipeline import (
-    DEFAULT_CORE_CONFIG,
-    simulate,
-    simulate_batch,
-)
+from repro.microarch.pipeline import DEFAULT_CORE_CONFIG
 from repro.microarch.simulator import (
     clear_measurement_cache,
     measure_suite_batched,
@@ -267,20 +263,6 @@ class TestTimelineBatchedParity:
 # Microarch tier: batched trace walks.
 # ----------------------------------------------------------------------
 class TestSimulateBatchParity:
-    def test_variants_match_serial_simulate(self, small_trace):
-        resized = DEFAULT_CORE_CONFIG.with_resized_queue("int")
-        variants = [
-            (DEFAULT_CORE_CONFIG, False),
-            (DEFAULT_CORE_CONFIG, True),
-            (resized, False),
-            (resized, True),
-        ]
-        batched = simulate_batch(small_trace, variants)
-        for (config, suppress), result in zip(variants, batched):
-            assert result == simulate(
-                small_trace, config, suppress_l2_misses=suppress
-            )
-
     def test_measure_suite_batched_matches_serial(self, suite):
         clear_measurement_cache()
         resized = DEFAULT_CORE_CONFIG.with_resized_queue("fp")

@@ -1,12 +1,17 @@
 """Property-based tests (hypothesis) on the core invariants."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.circuits import gate_delay, static_power, threshold_voltage
+from repro.microarch import CoreConfig, generate_trace, spec2000_like_suite
 from repro.microarch.phases import N_BUCKETS, PhaseDetector
+from repro.microarch.pipeline import simulate_batch
+from repro.ml import training
 from repro.ml.fuzzy import FuzzyController
 from repro.timing.paths import StageDelays
 from repro.timing.errors import processor_error_rate, stage_error_rates
@@ -147,3 +152,81 @@ def test_phase_detector_distance_is_symmetric(bbv):
 )
 def test_phase_detector_self_distance_zero(bbv):
     assert PhaseDetector.distance(bbv, bbv) == 0.0
+
+
+# ----------------------------------------------------------------------
+# The simulator runs each variant on its own: a batch is K batches of one.
+# ----------------------------------------------------------------------
+_SUITE = spec2000_like_suite()
+#: Short traces of an int, a memory-bound and an FP phase.
+_TRACES = [
+    generate_trace(_SUITE[w].phase_profile(_SUITE[w].phases[0]), 300, seed=5)
+    for w in (0, 2, 5)
+]
+
+core_configs = st.builds(
+    CoreConfig,
+    fetch_width=st.integers(1, 4),
+    issue_width=st.integers(1, 4),
+    retire_width=st.integers(1, 4),
+    int_queue_size=st.integers(1, 8),
+    fp_queue_size=st.integers(1, 8),
+    mem_queue_size=st.integers(1, 8),
+    rob_size=st.integers(1, 16),
+    n_int_alu=st.integers(1, 3),
+    n_fp_add=st.integers(1, 2),
+    n_mem_ports=st.integers(1, 2),
+    extra_exec_stage=st.integers(0, 1),
+    prefetch_accuracy=st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    trace=st.sampled_from(_TRACES),
+    variants=st.lists(st.tuples(core_configs, st.booleans()), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_simulate_batch_variant_equals_batch_of_one(trace, variants, data):
+    order = data.draw(st.permutations(range(len(variants))))
+    batched = simulate_batch(trace, variants)
+    reordered = simulate_batch(trace, [variants[k] for k in order])
+    for k, variant in enumerate(variants):
+        assert batched[k] == simulate_batch(trace, [variant])[0]
+    for position, k in enumerate(order):
+        assert reordered[position] == batched[k]
+
+
+# ----------------------------------------------------------------------
+# Lockstep training: controller k of a stacked call is controller k alone.
+# ----------------------------------------------------------------------
+@settings(max_examples=15, deadline=None)
+@given(
+    data_seed=st.integers(0, 2**32 - 1),
+    seeds=st.lists(st.integers(0, 2**16), min_size=3, max_size=3),
+    planted=st.integers(6, 39),
+    epochs=st.integers(1, 2),
+)
+def test_lockstep_training_matches_training_alone(data_seed, seeds, planted, epochs):
+    rng = np.random.default_rng(data_seed)
+    inputs = rng.uniform(-1.0, 1.0, (40, 3, 3))
+    targets = rng.uniform(-1.0, 1.0, (40, 3))
+    # Far outside every rule of controller 1: its rule strengths
+    # underflow at this example while controllers 0 and 2 keep stepping.
+    inputs[planted, 1, :] = 1e6
+    with mock.patch.object(
+        training, "_gradients", wraps=training._gradients
+    ) as gradients:
+        stacked = training.train_fuzzy_controller(
+            inputs, targets, n_rules=6, epochs=epochs, seed=seeds
+        )
+    assert any(len(call.args[4]) < 3 for call in gradients.call_args_list)
+    for k, (fc, report) in enumerate(stacked):
+        alone, alone_report = training.train_fuzzy_controller(
+            inputs[:, k, :], targets[:, k], n_rules=6, epochs=epochs,
+            seed=seeds[k],
+        )
+        assert np.array_equal(fc.mu, alone.mu)
+        assert np.array_equal(fc.sigma, alone.sigma)
+        assert np.array_equal(fc.y, alone.y)
+        assert report == alone_report
