@@ -226,6 +226,10 @@ class TestPipeline:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CoreConfig(issue_width=0)
+        with pytest.raises(ValueError, match="l1_latency"):
+            CoreConfig(l1_latency=-1)
+        with pytest.raises(ValueError, match="frontend_depth"):
+            CoreConfig(frontend_depth=-1)
         with pytest.raises(ValueError):
             DEFAULT_CORE_CONFIG.with_resized_queue("int", 0.0)
         with pytest.raises(ValueError):
