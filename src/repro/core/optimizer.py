@@ -18,17 +18,18 @@ Everything is vectorised over a :class:`SubsystemArrays` batch, which is
 either a view of a real :class:`~repro.chip.chip.Core` or a synthetic
 batch of training samples.  A batch may additionally carry a leading
 *lane* axis — shape ``(B, n_subsystems)``, built with
-:meth:`SubsystemArrays.stack` — in which case one kernel call solves B
-independent phases at once over a ``(vdd, vbb, B, n)`` grid.  Because
-every physical relation is elementwise per grid cell, batched results
-are bit-identical to B separate calls; converged lanes drop out of the
-joint fixed point early (convergence masking) instead of iterating at
-the slowest lane's pace.
+:meth:`SubsystemArrays.stack` — in which case one call solves B
+independent phases over ``(vdd, vbb, b, n)`` grids, swept in blocks of
+at most :data:`_BLOCK_CELLS` cells so every temporary stays in cache.
+Because every physical relation is elementwise per grid cell, batched
+results are bit-identical to B separate calls however the lanes are
+blocked; converged lanes drop out of the joint fixed point early
+(convergence masking) instead of iterating at the slowest lane's pace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,6 +54,12 @@ from ..timing.paths import StageModifiers
 _FREQ_MAX_ITERATIONS = 30
 _CONVERGENCE_RTOL = 1e-6
 _CONVERGENCE_ATOL = 1e-8
+
+#: Grid cells one block of an exhaustive sweep may span.  Freq and Power
+#: walk the lane axis in blocks of whole lanes, and the thermal fixed
+#: point cuts a block's leading (vdd) axis when one lane alone exceeds
+#: the budget, so every temporary of a sweep stays cache-sized.
+_BLOCK_CELLS = 1 << 16
 
 #: The per-lane array fields of :class:`SubsystemArrays`, in declaration
 #: order (used by stacking / lane selection).
@@ -194,7 +201,8 @@ class SubsystemArrays:
         return SubsystemArrays(**arrays, **self._scalar_fields())
 
     def lane_subset(self, index: np.ndarray) -> "SubsystemArrays":
-        """The batched view restricted to the given lane indices."""
+        """The batched view restricted to the given lanes (an index
+        array, or a slice for views of a contiguous block)."""
         if not self.is_batched:
             raise ValueError("lane_subset requires a batched view")
         arrays = {name: getattr(self, name)[index] for name in _ARRAY_FIELDS}
@@ -342,31 +350,81 @@ class FreqResult:
         return float(self.f_max[mask].min())
 
 
+def _leading_rows(array, lo: int, hi: int, ndim: int):
+    """Rows ``lo:hi`` of ``array``'s part of an ``ndim``-rank grid.
+
+    Only an operand that spans the grid's leading axis is sliced; one
+    that broadcasts along it (size 1, or fewer dimensions) is passed
+    whole.
+    """
+    array = np.asarray(array)
+    if array.ndim == ndim and array.shape[0] != 1:
+        return array[lo:hi]
+    return array
+
+
 def _thermal_fixed_point(
     subsystems: SubsystemArrays, vdd, vbb, freq, t_heatsink, iterations: int = 25
 ):
     """Iterate Eq 6-9 to steady state (vectorised, no damping needed).
 
-    Each iteration is one fused ``thermal_step`` kernel call; two
-    temperature buffers ping-pong through its ``out=`` parameter so the
-    loop allocates nothing in steady state.
+    The grid is cut along its leading axis into blocks of at most
+    :data:`_BLOCK_CELLS` cells (one row at least), and each block runs
+    all its iterations before the next starts, so its buffers stay in
+    cache.  Every iteration is one fused ``thermal_step`` kernel call;
+    two temperature buffers ping-pong through its ``out=`` parameter.
+    The map is elementwise per cell, so each cell sees the same
+    sequence of operations however the grid is cut.
     """
     p_dyn = subsystems.p_dynamic(vdd, freq)
-    temp = np.broadcast_to(
-        np.asarray(t_heatsink + 5.0), np.broadcast_shapes(p_dyn.shape, np.shape(vbb))
-    ).copy()
+    temp = np.empty(np.broadcast_shapes(p_dyn.shape, np.shape(vbb)))
+    rows = max(1, _BLOCK_CELLS // max(1, temp[0].size))
+    scratch = np.empty(temp[:rows].shape)
+    operands = (
+        subsystems.vt0_leak, vdd, vbb, subsystems.ksta, subsystems.rth, p_dyn,
+        subsystems.power_factor,
+    )
     thermal_step = get_backend().kernel("thermal_step")
-    scratch = np.empty(temp.shape)
     with obs.span("kernel.thermal_fixed_point"):
-        for _ in range(iterations):
-            new_temp, _ = thermal_step(
-                subsystems.vt0_leak, vdd, vbb, temp, subsystems.ksta,
-                subsystems.rth, p_dyn, t_heatsink, subsystems.vt_sens,
-                power_factor=subsystems.power_factor, t_runaway=500.0,
-                out=scratch,
+        for lo in range(0, len(temp), rows):
+            block = temp[lo:lo + rows]
+            block.fill(t_heatsink + 5.0)
+            vt0, v_dd, v_bb, ksta, rth, p_dyn_rows, power_factor = (
+                _leading_rows(a, lo, lo + rows, temp.ndim) for a in operands
             )
-            temp, scratch = new_temp, temp
+            cur, spare = block, scratch[: len(block)]
+            for _ in range(iterations):
+                new_temp, _ = thermal_step(
+                    vt0, v_dd, v_bb, cur, ksta, rth, p_dyn_rows, t_heatsink,
+                    subsystems.vt_sens, power_factor=power_factor,
+                    t_runaway=500.0, out=spare,
+                )
+                cur, spare = new_temp, cur
+            if cur is not block:
+                np.copyto(block, cur)
     return temp, p_dyn
+
+
+def _lane_blocks(n_lanes: int, lane_cells: int) -> list:
+    """Slices of whole lanes, each spanning at most :data:`_BLOCK_CELLS`
+    grid cells (one lane at least)."""
+    per_block = max(1, _BLOCK_CELLS // max(1, lane_cells))
+    return [
+        slice(lo, min(lo + per_block, n_lanes))
+        for lo in range(0, max(n_lanes, 1), per_block)
+    ]
+
+
+def _joined(parts: list, batched: bool):
+    """One result from per-block results: every field concatenated along
+    the lane axis, and the lane axis dropped for an unbatched call."""
+    joined = [
+        np.concatenate([getattr(part, field.name) for part in parts])
+        for field in fields(parts[0])
+    ]
+    if not batched:
+        joined = [value[0] for value in joined]
+    return type(parts[0])(*joined)
 
 
 def freq_algorithm(
@@ -379,13 +437,24 @@ def freq_algorithm(
     on temperature, which depends on frequency); the subsystem's
     ``f_max`` is the best feasible combination.
 
-    A batched ``(B, n)`` input sweeps all B lanes in one ``(vdd, vbb, B,
-    n)`` grid; lanes whose frequencies have converged drop out of further
+    A batched ``(B, n)`` input sweeps its lanes over ``(vdd, vbb, b, n)``
+    grids, in blocks of whole lanes bounded by :data:`_BLOCK_CELLS`;
+    lanes whose frequencies have converged drop out of further
     fixed-point iterations (the per-lane stopping criterion is exactly
     the serial one, so results stay bit-identical to B separate calls).
     """
-    batched = subsystems.is_batched
     lanes = subsystems.lanes()
+    lane_cells = len(spec.vdd_levels) * len(spec.vbb_levels) * len(lanes)
+    obs.inc("optimizer.freq_calls")
+    parts = [
+        _freq_block(lanes.lane_subset(block), spec)
+        for block in _lane_blocks(lanes.batch_size, lane_cells)
+    ]
+    return _joined(parts, subsystems.is_batched)
+
+
+def _freq_block(lanes: SubsystemArrays, spec: OptimizationSpec) -> FreqResult:
+    """Freq over one block of ``(b, n)`` lanes (batched result)."""
     calib = lanes.calib
     n = lanes.n_subsystems
     n_lanes = lanes.batch_size
@@ -397,7 +466,6 @@ def freq_algorithm(
 
     f = np.full(grid_shape, spec.knob_ranges.f_min)
     temp = np.full_like(f, spec.t_heatsink + 5.0)
-    obs.inc("optimizer.freq_calls")
     obs.inc("optimizer.freq_lanes", float(n_lanes))
     obs.inc("optimizer.candidates", float(f.size))
 
@@ -470,15 +538,10 @@ def freq_algorithm(
     f_max = np.take_along_axis(flat, best[None, :, :], axis=0)[0]
     feasible = np.isfinite(f_max)
     f_max = np.where(feasible, f_max, spec.knob_ranges.f_min)
-    vdd_best = spec.vdd_levels[iv]
-    vbb_best = spec.vbb_levels[ib]
-    if not batched:
-        f_max, vdd_best = f_max[0], vdd_best[0]
-        vbb_best, feasible = vbb_best[0], feasible[0]
     return FreqResult(
         f_max=f_max,
-        vdd=vdd_best,
-        vbb=vbb_best,
+        vdd=spec.vdd_levels[iv],
+        vbb=spec.vbb_levels[ib],
         feasible=feasible,
     )
 
@@ -526,16 +589,17 @@ def power_algorithm(
 
     ``f_core`` may be a scalar or per-subsystem ``(n,)`` array for an
     unbatched call; a batched ``(B, n)`` input additionally accepts a
-    per-lane ``(B,)`` vector or a full ``(B, n)`` matrix.
+    per-lane ``(B,)`` vector or a full ``(B, n)`` matrix.  Lanes are
+    swept in blocks bounded by :data:`_BLOCK_CELLS`, as in
+    :func:`freq_algorithm`.
     """
     f_core = np.asarray(f_core, dtype=float)
-    if np.any(f_core <= 0.0):
-        raise ValueError("core frequency must be positive")
-    batched = subsystems.is_batched
+    if not np.all(np.isfinite(f_core)) or np.any(f_core <= 0.0):
+        raise ValueError("core frequency must be positive and finite")
     lanes = subsystems.lanes()
     n = lanes.n_subsystems
     n_lanes = lanes.batch_size
-    if batched:
+    if subsystems.is_batched:
         if f_core.ndim == 1:
             if f_core.shape != (n_lanes,):
                 raise ValueError(
@@ -554,7 +618,26 @@ def power_algorithm(
             freq = f_core
     else:
         freq = f_core[None, :] if f_core.ndim == 1 else f_core
+    lane_cells = len(spec.vdd_levels) * len(spec.vbb_levels) * n
+    obs.inc("optimizer.power_calls")
+    parts = [
+        _power_block(
+            lanes.lane_subset(block), freq[block] if freq.ndim == 2 else freq,
+            spec,
+        )
+        for block in _lane_blocks(n_lanes, lane_cells)
+    ]
+    return _joined(parts, subsystems.is_batched)
+
+
+def _power_block(
+    lanes: SubsystemArrays, freq, spec: OptimizationSpec
+) -> PowerResult:
+    """Power over one block of ``(b, n)`` lanes at ``freq`` (batched
+    result)."""
     calib = lanes.calib
+    n = lanes.n_subsystems
+    n_lanes = lanes.batch_size
     vdd = spec.vdd_levels[:, None, None, None]
     vbb = spec.vbb_levels[None, :, None, None]
     z = budget_z(lanes, spec.pe_budget)[None, None, :, :]
@@ -566,7 +649,6 @@ def power_algorithm(
     period_needed = 1.0 / freq
     period_have = lanes.budget_period_rel(vdd, vbb, temp, z) * t_cycle
     ok = (temp <= spec.t_max + 0.05) & (period_have <= period_needed * (1 + 1e-9))
-    obs.inc("optimizer.power_calls")
     obs.inc("optimizer.power_lanes", float(n_lanes))
     obs.inc("optimizer.candidates", float(ok.size))
     obs.inc("optimizer.constraint_rejections", float((~ok).sum()))
@@ -580,7 +662,7 @@ def power_algorithm(
     temp = np.broadcast_to(temp, grid_shape)
     p_sta = np.broadcast_to(p_sta, grid_shape)
     flat = cost.reshape(-1, n_lanes, n)
-    best = np.argmin(flat, axis=0)  # (B, n)
+    best = np.argmin(flat, axis=0)  # (b, n)
     iv, ib = np.unravel_index(best, grid_shape[:2])
     pick = best[None, :, :]
 
@@ -589,21 +671,11 @@ def power_algorithm(
             grid.reshape(-1, n_lanes, n), pick, axis=0
         )[0]
 
-    feasible = np.isfinite(np.take_along_axis(flat, pick, axis=0)[0])
-    vdd_best = spec.vdd_levels[iv]
-    vbb_best = spec.vbb_levels[ib]
-    temp_best = select(temp)
-    p_dyn_best = select(p_dyn)
-    p_sta_best = select(p_sta)
-    if not batched:
-        vdd_best, vbb_best = vdd_best[0], vbb_best[0]
-        temp_best, feasible = temp_best[0], feasible[0]
-        p_dyn_best, p_sta_best = p_dyn_best[0], p_sta_best[0]
     return PowerResult(
-        vdd=vdd_best,
-        vbb=vbb_best,
-        temperature=temp_best,
-        p_dynamic=p_dyn_best,
-        p_static=p_sta_best,
-        feasible=feasible,
+        vdd=spec.vdd_levels[iv],
+        vbb=spec.vbb_levels[ib],
+        temperature=select(temp),
+        p_dynamic=select(p_dyn),
+        p_static=select(p_sta),
+        feasible=np.isfinite(np.take_along_axis(flat, pick, axis=0)[0]),
     )

@@ -214,11 +214,6 @@ class _Chunk:
     outputs: Tuple = field(default=())
 
 
-#: Cap on (vdd-levels x vbb-levels x samples) grid cells solved by one
-#: batched oracle call — bounds peak memory of the stacked knob grid.
-MAX_LABEL_CELLS = 4_000_000
-
-
 def _sample_request_chunks(
     core: Core, position: int, request: TrainingRequest, chunk: int
 ) -> List[_Chunk]:
@@ -299,8 +294,9 @@ def generate_training_datasets(
     bank training.  Outputs are bit-identical to calling
     :func:`generate_training_data` per request (the RNG streams are drawn
     per request, and the physics is elementwise per sample).  Lanes are
-    grouped by chunk size (stacks are rectangular) and each batched call
-    is capped at :data:`MAX_LABEL_CELLS` grid cells.
+    grouped by chunk size (stacks are rectangular), one stacked call per
+    group: the optimizer bounds its own working set by sweeping the
+    stack in cache-sized blocks.
 
     Returns one ``(freq_inputs, f_max_ghz, power_inputs, vdd, vbb)``
     tuple per request, in request order.
@@ -313,15 +309,8 @@ def generate_training_datasets(
     by_size: Dict[int, List[_Chunk]] = {}
     for c in all_chunks:
         by_size.setdefault(len(c.samples.th), []).append(c)
-    knob_cells = len(spec.vdd_levels) * len(spec.vbb_levels)
-    for size, members in by_size.items():
-        lanes_per_call = max(1, MAX_LABEL_CELLS // max(1, knob_cells * size))
-        for start in range(0, len(members), lanes_per_call):
-            _label_chunk_group(
-                members[start:start + lanes_per_call],
-                spec,
-                core.calib.f_nominal,
-            )
+    for members in by_size.values():
+        _label_chunk_group(members, spec, core.calib.f_nominal)
     results = []
     for position in range(len(requests)):
         parts = sorted(

@@ -181,6 +181,23 @@ class TestPowerAlgorithm:
         with pytest.raises(ValueError):
             power_algorithm(subs, 0.0, asv_spec)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_frequency(self, novar_core, int_measurement, bad):
+        # NaN slips past a ``<= 0`` check and would come back as an
+        # all-infeasible result with NaN/inf power instead of an error.
+        subs = core_subsystem_arrays(
+            novar_core, int_measurement.activity, int_measurement.rho
+        )
+        spec = TS_ASV_ABB.optimization_spec(
+            novar_core.n_subsystems, novar_core.calib
+        )
+        with pytest.raises(ValueError, match="finite"):
+            power_algorithm(subs, bad, spec)
+        f_lanes = np.full(len(subs), 3.0e9)
+        f_lanes[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            power_algorithm(subs, f_lanes, spec)
+
 
 class TestSubsystemArraysBatch:
     def test_stack_shapes_and_flags(self, lanes):

@@ -1,8 +1,12 @@
 """Fuzzy controllers: inference (Eqs 10-12), training (Eq 13), banks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core import TS_ASV_ABB
+from repro.kernels import workspace_pool
 from repro.ml import (
     FuzzyController,
     generate_training_data,
@@ -198,6 +202,28 @@ class TestDataset:
             )[0]
             for got_part, want_part in zip(got, alone):
                 assert np.array_equal(got_part, want_part)
+
+    def test_labeling_memory_is_bounded(self, core):
+        # The oracle sweeps the stacked grid in cache-sized blocks, so
+        # labelling a bank-sized request list (19 x 1000 examples over
+        # the 9 x 21 TS+ASV+ABB knob grid, 3.6M cells) must never hold
+        # the whole grid, nor leave grid-sized scratch in the pool.
+        spec = TS_ASV_ABB.optimization_spec(core.n_subsystems, core.calib)
+        requests = [
+            TrainingRequest(
+                index=k % core.n_subsystems, seed=k, n_examples=1000
+            )
+            for k in range(19)
+        ]
+        workspace_pool().clear()
+        tracemalloc.start()
+        try:
+            generate_training_datasets(core, spec, requests)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+        assert workspace_pool().cached_bytes() <= 16 * 2**20
 
 
 class TestBank:

@@ -7,11 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro import obs
+from repro.chip import build_novar_core
 from repro.circuits import gate_delay, static_power, threshold_voltage
+from repro.core import TS_ASV_ABB, freq_algorithm, optimizer, power_algorithm
+from repro.core.optimizer import SubsystemArrays
 from repro.microarch import CoreConfig, generate_trace, spec2000_like_suite
 from repro.microarch.phases import N_BUCKETS, PhaseDetector
 from repro.microarch.pipeline import simulate_batch
+from repro.obs import MetricsRegistry
 from repro.ml import training
+from repro.ml.dataset import _batch_arrays, sample_inputs
 from repro.ml.fuzzy import FuzzyController
 from repro.timing.paths import StageDelays
 from repro.timing.errors import processor_error_rate, stage_error_rates
@@ -230,3 +236,106 @@ def test_lockstep_training_matches_training_alone(data_seed, seeds, planted, epo
         assert np.array_equal(fc.sigma, alone.sigma)
         assert np.array_equal(fc.y, alone.y)
         assert report == alone_report
+
+
+# ----------------------------------------------------------------------
+# Exhaustive sweeps are blocked by a cell budget; the budget never shows.
+# ----------------------------------------------------------------------
+_NOVAR = build_novar_core()
+_SPEC = TS_ASV_ABB.optimization_spec(_NOVAR.n_subsystems, _NOVAR.calib)
+_COUNTERS = (
+    "optimizer.freq_calls",
+    "optimizer.freq_lanes",
+    "optimizer.freq_exhausted",
+    "optimizer.power_calls",
+    "optimizer.power_lanes",
+    "optimizer.candidates",
+    "optimizer.constraint_rejections",
+)
+
+
+def _random_lanes(seed, n_lanes, n):
+    """``n_lanes`` lanes of ``n`` sampled pseudo-subsystems each."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for _ in range(n_lanes):
+        index = int(rng.integers(_NOVAR.n_subsystems))
+        samples = sample_inputs(_NOVAR, index, n, rng)
+        members.append(
+            _batch_arrays(
+                _NOVAR, index, samples, delay_scale=rng.uniform(0.9, 1.0)
+            )
+        )
+    return members
+
+
+def _under_budget(cells, fn):
+    """``fn()`` with the sweep budget at ``cells``, plus its counters."""
+    with mock.patch.object(optimizer, "_BLOCK_CELLS", cells):
+        with obs.scoped(MetricsRegistry()) as registry:
+            result = fn()
+            doc = registry.to_dict()
+    counters = {name: doc["counters"].get(name) for name in _COUNTERS}
+    iterations = doc["histograms"].get("optimizer.freq_iterations", {})
+    return result, counters, iterations.get("values")
+
+
+def _assert_blocking_invariant(fn):
+    tiny = _under_budget(1, fn)
+    whole = _under_budget(1 << 30, fn)
+    for got, want in zip(tiny[0], whole[0]):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert tiny[1:] == whole[1:]
+
+
+def _fields(result):
+    return [getattr(result, name) for name in result.__dataclass_fields__]
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_lanes=st.integers(1, 4),
+    n=st.integers(1, 6),
+    f_shape=st.sampled_from(["scalar", "lane", "full"]),
+)
+def test_sweeps_invariant_to_block_budget(seed, n_lanes, n, f_shape):
+    # A budget of one cell puts each lane in its own block and splits the
+    # thermal fixed point into single vdd rows; 2**30 is one block.
+    stack = SubsystemArrays.stack(_random_lanes(seed, n_lanes, n))
+    f_core = {
+        "scalar": 3.0e9,
+        "lane": np.linspace(2.5e9, 3.5e9, n_lanes),
+        "full": np.random.default_rng(seed).uniform(2.5e9, 3.5e9, (n_lanes, n)),
+    }[f_shape]
+    _assert_blocking_invariant(lambda: _fields(freq_algorithm(stack, _SPEC)))
+    _assert_blocking_invariant(
+        lambda: _fields(power_algorithm(stack, f_core, _SPEC))
+    )
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scalar=st.booleans())
+def test_unbatched_sweeps_invariant_to_block_budget(seed, scalar):
+    (subs,) = _random_lanes(seed, 1, 5)
+    f_core = 3.0e9 if scalar else np.linspace(2.5e9, 3.5e9, len(subs))
+    _assert_blocking_invariant(lambda: _fields(freq_algorithm(subs, _SPEC)))
+    _assert_blocking_invariant(
+        lambda: _fields(power_algorithm(subs, f_core, _SPEC))
+    )
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), f_rel=st.floats(0.75, 1.25))
+def test_fig9_thermal_fixed_point_invariant_to_block_budget(seed, f_rel):
+    # Fig 9 settles an unbatched core over a 3-D (vdd, vbb, n) grid.
+    (subs,) = _random_lanes(seed, 1, 4)
+    vdd = _SPEC.vdd_levels[:, None, None]
+    vbb = _SPEC.vbb_levels[None, :, None]
+    f = f_rel * _NOVAR.calib.f_nominal
+    _assert_blocking_invariant(
+        lambda: optimizer._thermal_fixed_point(
+            subs, vdd, vbb, f, _SPEC.t_heatsink
+        )
+    )
