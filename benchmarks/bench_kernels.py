@@ -7,7 +7,10 @@ full thermal fixed point (the hottest loop in the phase optimiser) and
 the all-scalar fast path of :func:`repro.circuits.leakage.static_power`.
 Every timed pair is asserted bitwise identical first, then timed in
 interleaved reference/fused sample pairs, so a slow stretch of the host
-lands on both sides.  Each side's min and interquartile range, the
+lands on both sides.  Where the C tier builds, its ``thermal_step`` is
+timed the same way against the fused numpy one (the ``c`` rows), as a
+whole fixed point run in place in one call, the way the optimiser runs
+it, and as a single step.  Each side's min and interquartile range, the
 ``kernel.*`` observability counters and the speedups (ratio of the mins)
 are written to ``BENCH_kernels.json`` (and into the shared baseline's
 ``kernels`` section).
@@ -64,18 +67,18 @@ def _operands(seed=0):
     }
 
 
-def _paired(reference, fused, samples=SAMPLES):
+def _paired(reference, fused, samples=SAMPLES, names=("reference", "fused")):
     """Time ``reference`` and ``fused`` in alternating sample pairs.
 
     The side that runs first alternates between pairs.  Returns each
-    side's min and interquartile range, in seconds.
+    side's min and interquartile range, in seconds, keyed by ``names``.
     """
-    sides = {"reference": reference, "fused": fused}
+    sides = dict(zip(names, (reference, fused)))
     times = {side: [] for side in sides}
     for fn in sides.values():
         fn()
     for pair in range(samples):
-        order = ("reference", "fused") if pair % 2 == 0 else ("fused", "reference")
+        order = names if pair % 2 == 0 else names[::-1]
         for side in order:
             start = time.perf_counter()
             sides[side]()
@@ -116,6 +119,42 @@ def _fixed_point(thermal_step, ops, *, ping_pong):
             temp,
         )
     return temp
+
+
+def _in_place_fixed_point(thermal_step, ops):
+    """FP_ITERS iterations in one call, in place: the optimiser's way."""
+    temp = ops["temp"].copy()
+    thermal_step(
+        ops["vt0"], ops["vdd"], ops["vbb"], temp, ops["ksta"], ops["rth"],
+        ops["p_dyn"], 318.0, SENS, out=temp, steps=FP_ITERS,
+    )
+    return temp
+
+
+def _c_rows(ops):
+    """The C tier against the fused numpy tier, or {} without a compiler."""
+    if not kernels.c_available():
+        return {}
+    numpy_step = _with_impl("numpy", "thermal_step")
+    c_step = _with_impl("c", "thermal_step")
+    calls = {
+        "thermal_fixed_point": lambda step: _in_place_fixed_point(step, ops),
+        "thermal_step": lambda step: step(
+            ops["vt0"], ops["vdd"], ops["vbb"], ops["temp"], ops["ksta"],
+            ops["rth"], ops["p_dyn"], 318.0, SENS, compute_delta=True,
+        )[0],
+    }
+    rows = {}
+    for name, call in calls.items():
+        _assert_bitwise(call(numpy_step), call(c_step))
+        row = _paired(
+            lambda: call(numpy_step), lambda: call(c_step),
+            names=("numpy", "c"),
+        )
+        row["speedup"] = row["numpy_seconds"] / row["c_seconds"]
+        rows[name] = row
+    rows["thermal_fixed_point"]["iterations"] = FP_ITERS
+    return rows
 
 
 def _time_kernel_pair(name, call):
@@ -172,6 +211,9 @@ def test_kernel_breakdown(benchmark):
         lambda fn: fn(ops["freq"], ops["mean"], ops["sigma"], ops["rho"]),
     )
 
+    # --- the compiled tier against the fused numpy one --------------
+    c_rows = _c_rows(ops)
+
     # --- the all-scalar fast path in the leaf function ---------------
     # 0-d ndarray operands are not Python floats, so they force the
     # seed's asarray path; plain floats take the new scalar path.
@@ -211,9 +253,10 @@ def test_kernel_breakdown(benchmark):
     payload = {
         "grid": list(GRID),
         "impl": kernels.active_impl("thermal_step"),
-        "numba_available": kernels.NUMBA_AVAILABLE,
+        "c_available": bool(c_rows),
         "workspace_cached_bytes": kernels.workspace_pool().cached_bytes(),
         "kernels": sections,
+        "c_vs_numpy": c_rows,
         "counters": counters,
     }
     record_bench_section("kernels", payload)
@@ -236,6 +279,16 @@ def test_kernel_breakdown(benchmark):
         )
     )
     print("\n".join(lines))
+    if c_rows:
+        print("C tier vs fused numpy:")
+        for name, row in c_rows.items():
+            print(
+                f"  {name:24s} numpy {row['numpy_seconds'] * 1e3:8.2f}ms"
+                f" (IQR {row['numpy_iqr_seconds'] * 1e3:6.2f})"
+                f"  c {row['c_seconds'] * 1e3:8.2f}ms"
+                f" (IQR {row['c_iqr_seconds'] * 1e3:6.2f})"
+                f"  -> {row['speedup']:.2f}x"
+            )
 
     # Floors: fused paths must never lose to the seed compositions.
     # The fixed point is the headline (ISSUE target: >= 1.5x).
@@ -243,3 +296,7 @@ def test_kernel_breakdown(benchmark):
     for name in ("vt_and_static_power", "thermal_step", "timing_error_cdf",
                  "scalar_static_power"):
         assert sections[name]["speedup"] >= 1.0, name
+    # The compiled tier must not lose to the fused numpy one on the
+    # population-scale fixed point it exists for.
+    if c_rows:
+        assert c_rows["thermal_fixed_point"]["speedup"] >= 1.0

@@ -20,7 +20,8 @@ importable — the container never grows a hard dependency on them.
 Besides the ``xp`` namespace, a backend resolves named *fused kernels*
 (:meth:`ArrayBackend.kernel`) for the hot physics chains — see
 :mod:`repro.kernels` for the registry, the implementation tiers
-(reference / hand-fused numpy / numba) and the bit-identity contract.
+(reference / hand-fused numpy / compiled C) and the bit-identity
+contract.
 :func:`reset_backend` also resets the kernel selection, so the pair of
 ``EVAL_REPRO_BACKEND`` / ``EVAL_REPRO_KERNELS`` is re-read together.
 """
@@ -62,8 +63,8 @@ class ArrayBackend:
         :func:`repro.kernels.use_impl` override) and returns an
         instrumented callable that records ``kernel.<name>.calls`` /
         ``kernel.<name>.ns``.  Unknown names raise ``ValueError``
-        listing the registered kernels; requesting the numba tier
-        without numba installed raises the documented ``RuntimeError``.
+        listing the registered kernels; forcing the C tier where it
+        cannot be built raises the documented ``RuntimeError``.
         """
         from . import kernels
 

@@ -46,6 +46,7 @@ from ..circuits.knobs import (
     threshold_voltage,
 )
 from ..chip.chip import Core
+from ..kernels import T_RUNAWAY
 from ..numerics import ndtri
 from ..timing.paths import StageModifiers
 
@@ -371,15 +372,14 @@ def _thermal_fixed_point(
     The grid is cut along its leading axis into blocks of at most
     :data:`_BLOCK_CELLS` cells (one row at least), and each block runs
     all its iterations before the next starts, so its buffers stay in
-    cache.  Every iteration is one fused ``thermal_step`` kernel call;
-    two temperature buffers ping-pong through its ``out=`` parameter.
+    cache.  Each block is one fused ``thermal_step`` kernel call of
+    ``iterations`` steps, updating the block's temperatures in place.
     The map is elementwise per cell, so each cell sees the same
     sequence of operations however the grid is cut.
     """
     p_dyn = subsystems.p_dynamic(vdd, freq)
     temp = np.empty(np.broadcast_shapes(p_dyn.shape, np.shape(vbb)))
     rows = max(1, _BLOCK_CELLS // max(1, temp[0].size))
-    scratch = np.empty(temp[:rows].shape)
     operands = (
         subsystems.vt0_leak, vdd, vbb, subsystems.ksta, subsystems.rth, p_dyn,
         subsystems.power_factor,
@@ -392,16 +392,11 @@ def _thermal_fixed_point(
             vt0, v_dd, v_bb, ksta, rth, p_dyn_rows, power_factor = (
                 _leading_rows(a, lo, lo + rows, temp.ndim) for a in operands
             )
-            cur, spare = block, scratch[: len(block)]
-            for _ in range(iterations):
-                new_temp, _ = thermal_step(
-                    vt0, v_dd, v_bb, cur, ksta, rth, p_dyn_rows, t_heatsink,
-                    subsystems.vt_sens, power_factor=power_factor,
-                    t_runaway=500.0, out=spare,
-                )
-                cur, spare = new_temp, cur
-            if cur is not block:
-                np.copyto(block, cur)
+            thermal_step(
+                vt0, v_dd, v_bb, block, ksta, rth, p_dyn_rows, t_heatsink,
+                subsystems.vt_sens, power_factor=power_factor,
+                t_runaway=T_RUNAWAY, out=block, steps=iterations,
+            )
     return temp, p_dyn
 
 

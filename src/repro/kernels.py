@@ -11,10 +11,11 @@ module collapses those chains into three named kernels resolved through
     Eq 9 + Eq 8 in one pass: effective threshold voltage and the
     leakage power it implies (optionally scaled by a power factor).
 ``thermal_step``
-    One fixed-point iteration of Eq 6-9: both power terms, the clamped
-    temperature update, and (optionally) the per-lane convergence
-    delta.  Accepts an ``out=`` buffer so callers can ping-pong two
-    temperature buffers and allocate nothing in steady state.
+    ``steps`` fixed-point iterations of Eq 6-9 (default one): both
+    power terms, the clamped temperature update, and (optionally) the
+    per-lane convergence delta of the last iteration.  Accepts an
+    ``out=`` buffer, which may be ``temp`` itself, so a caller can run a
+    whole fixed point in place in one call.
 ``timing_error_cdf``
     Eq 4's per-stage error rate ``rho * Q((1/f - m) / s)`` via the
     backend's ``ndtr``.
@@ -29,19 +30,23 @@ Every kernel ships multiple *implementations*:
     written through ``out=`` parameters into buffers borrowed from a
     per-thread :class:`WorkspacePool`, so the only steady-state
     allocations are the results themselves.
-``numba``
-    ``@njit(cache=True, fastmath=False)`` loops for the arithmetic
-    stages, registered only when numba imports.  Transcendentals
-    (``exp``, ``ndtr``) are deliberately evaluated *outside* the jitted
-    code with the same numpy/scipy ufuncs the other implementations
-    use, so bit-identity holds by construction rather than by hoping
-    two libm builds agree.
+``c``
+    ``thermal_step`` only: two loops compiled from C source embedded
+    here (built once per machine with the system compiler, see
+    :mod:`repro.cbuild`) around numpy's ``exp``.  The transcendental
+    stays in numpy, the C is compiled without floating-point
+    contraction or fast-math, and each loop performs the numpy
+    implementation's operations in its order, so bit-identity holds by
+    construction rather than by hoping two libm builds agree.
 
 The bit-identity contract: every implementation performs the same IEEE
 double operations in the same association order as the seed leaf
 functions, so results are *bitwise* equal, not merely close.  Selection
-is ``EVAL_REPRO_KERNELS`` ∈ {``auto`` (default: numba if importable,
-else numpy), ``reference``, ``numpy``, ``numba``}; :func:`use_impl`
+is ``EVAL_REPRO_KERNELS`` ∈ {``auto`` (default: ``c`` where the library
+builds and loads, else ``numpy``), ``reference``, ``numpy``, ``c``}.
+``c`` applies to the kernels that have a C implementation; the others
+run their ``numpy`` one.  Forcing ``c`` where the library cannot build
+is a ``RuntimeError``, never a silent fallback.  :func:`use_impl`
 forces one for a scope (tests and benchmarks), and
 :func:`repro.backend.reset_backend` re-reads the environment.
 
@@ -53,7 +58,9 @@ when metrics are disabled.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import importlib.util
 import os
 import threading
 import time
@@ -63,24 +70,21 @@ from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 import numpy as np
 from scipy.special import ndtr as _scipy_ndtr
 
-from . import obs
+from . import cbuild, obs
 from .circuits.knobs import VtSensitivities, threshold_voltage
 from .circuits.leakage import IDEALITY_FACTOR, static_power
 from .numerics import norm_sf
 from .units import Q_OVER_K
 
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - the container default
-    njit = None
-    NUMBA_AVAILABLE = False
+#: Whether numba is importable (recorded by the benchmark's
+#: configuration report; no implementation uses it).
+NUMBA_AVAILABLE = importlib.util.find_spec("numba") is not None
 
 _ENV_VAR = "EVAL_REPRO_KERNELS"
 
-#: Temperature cap flagging thermal runaway (mirrors the solver's).
-_T_RUNAWAY_DEFAULT = 500.0
+#: Temperature cap (kelvin) of the Eq 6-9 iteration; a subsystem held at
+#: it has run away thermally.
+T_RUNAWAY = 500.0
 
 
 # ----------------------------------------------------------------------
@@ -174,6 +178,25 @@ def _reference_vt_and_static_power(
     return vt, p_sta
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 1:
+        raise ValueError(f"thermal_step needs steps >= 1, got {steps}")
+
+
+def _check_out(out: Optional[np.ndarray], shape: tuple) -> None:
+    if out is not None and out.shape != shape:
+        raise ValueError(
+            f"thermal_step out buffer has shape {out.shape}, expected {shape}"
+        )
+
+
+def _step_shape(*operands) -> tuple:
+    """The broadcast shape of the ``thermal_step`` operands (None skipped)."""
+    return np.broadcast_shapes(
+        *(np.shape(a) for a in operands if a is not None)
+    )
+
+
 def _reference_thermal_step(
     vt0_leak,
     vdd,
@@ -186,19 +209,26 @@ def _reference_thermal_step(
     sens: VtSensitivities,
     ideality: float = IDEALITY_FACTOR,
     power_factor=None,
-    t_runaway: float = _T_RUNAWAY_DEFAULT,
+    t_runaway: float = T_RUNAWAY,
     compute_delta: bool = False,
     out: Optional[np.ndarray] = None,
+    steps: int = 1,
 ):
-    _, p_sta = _reference_vt_and_static_power(
-        vt0_leak, vdd, vbb, temp, ksta, sens, ideality, power_factor
+    _check_steps(steps)
+    _check_out(
+        out,
+        _step_shape(vt0_leak, vdd, vbb, temp, ksta, rth, p_dyn, power_factor),
     )
-    new_temp = np.minimum(t_heatsink + rth * (p_dyn + p_sta), t_runaway)
+    new_temp = np.asarray(temp, dtype=float)
+    for _ in range(steps):
+        temp = new_temp
+        _, p_sta = _reference_vt_and_static_power(
+            vt0_leak, vdd, vbb, temp, ksta, sens, ideality, power_factor
+        )
+        new_temp = np.minimum(t_heatsink + rth * (p_dyn + p_sta), t_runaway)
     delta = None
     if compute_delta:
-        delta = np.max(
-            np.abs(new_temp - np.asarray(temp, dtype=float)), axis=-1
-        )
+        delta = np.max(np.abs(new_temp - temp), axis=-1)
     if out is not None:
         np.copyto(out, new_temp)
         new_temp = out
@@ -290,10 +320,12 @@ def _numpy_thermal_step(
     sens: VtSensitivities,
     ideality: float = IDEALITY_FACTOR,
     power_factor=None,
-    t_runaway: float = _T_RUNAWAY_DEFAULT,
+    t_runaway: float = T_RUNAWAY,
     compute_delta: bool = False,
     out: Optional[np.ndarray] = None,
+    steps: int = 1,
 ):
+    _check_steps(steps)
     vt0_leak = np.asarray(vt0_leak, dtype=float)
     vdd = np.asarray(vdd, dtype=float)
     vbb = np.asarray(vbb, dtype=float)
@@ -301,33 +333,35 @@ def _numpy_thermal_step(
     ksta = np.asarray(ksta, dtype=float)
     rth = np.asarray(rth, dtype=float)
     p_dyn = np.asarray(p_dyn, dtype=float)
-    shapes = [
-        vt0_leak.shape, vdd.shape, vbb.shape, temp.shape,
-        ksta.shape, rth.shape, p_dyn.shape,
-    ]
     if power_factor is not None:
         power_factor = np.asarray(power_factor, dtype=float)
-        shapes.append(power_factor.shape)
-    shape = np.broadcast_shapes(*shapes)
+    shape = _step_shape(
+        vt0_leak, vdd, vbb, temp, ksta, rth, p_dyn, power_factor
+    )
+    _check_out(out, shape)
     if out is None:
         out = np.empty(shape)
-    elif out.shape != shape:
-        raise ValueError(
-            f"thermal_step out buffer has shape {out.shape}, expected {shape}"
-        )
-    temp_b = np.broadcast_to(temp, shape)
     delta = None
     with _POOL.borrow(shape, 3) as (p, ws, ws2):
-        _fill_vt(vt0_leak, vdd, vbb, temp_b, sens, shape, p)
-        _fill_psta(p, vdd, temp_b, ksta, ideality, power_factor, shape, p, ws, ws2)
-        np.add(np.broadcast_to(p_dyn, shape), p, out=p)
-        np.multiply(np.broadcast_to(rth, shape), p, out=p)
-        np.add(p, t_heatsink, out=p)
-        np.minimum(p, t_runaway, out=out)
-        if compute_delta:
-            np.subtract(out, temp_b, out=ws)
-            np.abs(ws, out=ws)
-            delta = ws.max(axis=-1)
+        for step in range(steps):
+            temp_b = np.broadcast_to(temp, shape)
+            _fill_vt(vt0_leak, vdd, vbb, temp_b, sens, shape, p)
+            _fill_psta(
+                p, vdd, temp_b, ksta, ideality, power_factor, shape, p, ws, ws2
+            )
+            np.add(np.broadcast_to(p_dyn, shape), p, out=p)
+            np.multiply(np.broadcast_to(rth, shape), p, out=p)
+            np.add(p, t_heatsink, out=p)
+            if compute_delta and step == steps - 1:
+                # ``out`` may be ``temp``: take the delta before writing it.
+                np.minimum(p, t_runaway, out=p)
+                np.subtract(p, temp_b, out=ws)
+                np.abs(ws, out=ws)
+                delta = ws.max(axis=-1)
+                np.copyto(out, p)
+            else:
+                np.minimum(p, t_runaway, out=out)
+            temp = out
     return out, delta
 
 
@@ -350,143 +384,328 @@ def _numpy_timing_error_cdf(freq, mean, sigma, rho):
 
 
 # ----------------------------------------------------------------------
-# Numba implementations (registered only when numba imports).  The
-# jitted stages fuse the pure-arithmetic chains into single loops; the
-# transcendental evaluations stay on the exact numpy/scipy ufuncs the
-# other implementations use, so every element sees the same sequence of
-# correctly-rounded IEEE operations and results stay bitwise identical.
+# C implementation of ``thermal_step`` (built with the system compiler
+# through :mod:`repro.cbuild`).  Two C passes per step bracket numpy's
+# ``exp``: the first writes Eq 8's exponent argument (through Eq 9),
+# ``np.exp`` runs in place on it, and the second applies Eq 8, Eq 6 and
+# the runaway clamp.  Each pass performs the numpy implementation's IEEE
+# operations in its order, compiled without contraction or fast-math,
+# so results are bitwise identical.  Operands stay at their own shapes:
+# a 4-deep loop nest addresses each through its own element strides,
+# zero along the axes it broadcasts over.
 # ----------------------------------------------------------------------
-if NUMBA_AVAILABLE:  # pragma: no cover - needs numba (CI parity leg)
+_C_SOURCE = r"""
+#include <stdint.h>
 
-    @njit(cache=True, fastmath=False)
-    def _nb_vt(vt0, temp, vdd, vbb, k1, k2, k3, t_ref, vdd_ref):
-        return vt0 + k1 * (temp - t_ref) + k2 * (vdd - vdd_ref) + k3 * vbb
+/* Operand k of a pass sits at op[k] + i0*st[4k] + ... + i3*st[4k+3]
+   over the n[0] x n[1] x n[2] x n[3] loop nest. */
+#define ROW(k) (op[k] + i0 * st[4 * (k)] + i1 * st[4 * (k) + 1] \
+                + i2 * st[4 * (k) + 2])
+#define NEST for (int64_t i0 = 0; i0 < n[0]; ++i0) \
+             for (int64_t i1 = 0; i1 < n[1]; ++i1) \
+             for (int64_t i2 = 0; i2 < n[2]; ++i2)
 
-    @njit(cache=True, fastmath=False)
-    def _nb_exp_arg(vt, temp, neg_q_over_k, ideality):
-        return neg_q_over_k * vt / (ideality * temp)
+/* Eq 9, then Eq 8's exponent -q/k * Vt / (n * T), into the contiguous
+   arg.  op: vt0, temp, vdd, vbb.  c: k1, t_ref, k2, vdd_ref, k3,
+   -q/k, ideality. */
+void thermal_exponent(const int64_t *n, const double *const *op,
+                      const int64_t *st, const double *c, double *arg)
+{
+    const double k1 = c[0], t_ref = c[1], k2 = c[2], vdd_ref = c[3];
+    const double k3 = c[4], neg_q_over_k = c[5], ideality = c[6];
+    const int64_t s0 = st[3], s1 = st[7], s2 = st[11], s3 = st[15];
+    /* The sweeps' common case: knobs constant along the inner axis,
+       everything else contiguous along it. */
+    const int rows = s0 == 1 && s1 == 1 && s2 == 0 && s3 == 0;
+    NEST {
+        const double *vt0 = ROW(0), *temp = ROW(1);
+        const double *vdd = ROW(2), *vbb = ROW(3);
+        if (rows) {
+            const double dv = k2 * (vdd[0] - vdd_ref), db = k3 * vbb[0];
+            for (int64_t i = 0; i < n[3]; ++i) {
+                const double t = temp[i];
+                double vt = (t - t_ref) * k1;
+                vt = vt0[i] + vt;
+                vt = vt + dv;
+                vt = vt + db;
+                arg[i] = (vt * neg_q_over_k) / (t * ideality);
+            }
+        } else {
+            for (int64_t i = 0; i < n[3]; ++i) {
+                const double t = temp[i * s1];
+                double vt = (t - t_ref) * k1;
+                vt = vt0[i * s0] + vt;
+                vt = vt + k2 * (vdd[i * s2] - vdd_ref);
+                vt = vt + k3 * vbb[i * s3];
+                arg[i] = (vt * neg_q_over_k) / (t * ideality);
+            }
+        }
+        arg += n[3];
+    }
+}
 
-    @njit(cache=True, fastmath=False)
-    def _nb_prefactor(ksta, vdd, temp):
-        return ksta * vdd * (temp * temp)
+/* Eq 8 from exp(arg), times the power factor when op[4] is non-null,
+   then Eq 6 and the runaway clamp into op[7] (which may be temp itself:
+   each cell reads its temperature before writing it).  The clamp
+   propagates NaN like np.minimum.  op: ksta, vdd, temp, exp(arg),
+   power factor, p_dyn, rth, out.  c: t_heatsink, t_runaway. */
+#define UPDATE(ksta_i, vdd_i, temp_i, e_i, pf_i, p_dyn_i, rth_i, out_i) \
+    {                                                                    \
+        const double t = temp_i;                                         \
+        double p = ksta_i * vdd_i;                                       \
+        p = p * (t * t);                                                 \
+        p = p * e_i;                                                     \
+        if (scaled)                                                      \
+            p = p * pf_i;                                                \
+        p = p_dyn_i + p;                                                 \
+        p = rth_i * p;                                                   \
+        p = p + t_heatsink;                                              \
+        out_i = (p <= t_runaway || p != p) ? p : t_runaway;              \
+    }
 
-    @njit(cache=True, fastmath=False)
-    def _nb_neg_z(freq, mean, sigma):
-        return -((1.0 / freq - mean) / sigma)
+void thermal_update(const int64_t *n, double *const *op, const int64_t *st,
+                    const double *c)
+{
+    const double t_heatsink = c[0], t_runaway = c[1];
+    const int64_t s0 = st[3], s1 = st[7], s2 = st[11], s3 = st[15];
+    const int64_t s4 = st[19], s5 = st[23], s6 = st[27], s7 = st[31];
+    const int scaled = op[4] != 0;
+    const int rows = s0 == 1 && s1 == 0 && s2 == 1 && s3 == 1
+                     && (!scaled || s4 == 1) && s5 == 1 && s6 == 1
+                     && s7 == 1;
+    NEST {
+        const double *ksta = ROW(0), *vdd = ROW(1), *temp = ROW(2);
+        const double *e = ROW(3), *pf = scaled ? ROW(4) : 0;
+        const double *p_dyn = ROW(5), *rth = ROW(6);
+        double *out = ROW(7);
+        if (rows) {
+            const double v = vdd[0];
+            /* out may be temp itself, element for element: no
+               dependence crosses iterations. */
+            if (scaled) {
+#pragma GCC ivdep
+                for (int64_t i = 0; i < n[3]; ++i)
+                    UPDATE(ksta[i], v, temp[i], e[i], pf[i], p_dyn[i],
+                           rth[i], out[i])
+            } else {
+#pragma GCC ivdep
+                for (int64_t i = 0; i < n[3]; ++i)
+                    UPDATE(ksta[i], v, temp[i], e[i], 1.0, p_dyn[i],
+                           rth[i], out[i])
+            }
+        } else {
+            for (int64_t i = 0; i < n[3]; ++i)
+                UPDATE(ksta[i * s0], vdd[i * s1], temp[i * s2], e[i * s3],
+                       pf[i * s4], p_dyn[i * s5], rth[i * s6], out[i * s7])
+        }
+    }
+}
+"""
 
-    def _numba_vt_and_static_power(
-        vt0,
-        vdd,
-        vbb,
-        temp,
-        ksta,
-        sens: VtSensitivities,
-        ideality: float = IDEALITY_FACTOR,
-        power_factor=None,
-    ):
-        vt0 = np.asarray(vt0, dtype=float)
-        vdd = np.asarray(vdd, dtype=float)
-        vbb = np.asarray(vbb, dtype=float)
-        temp = np.asarray(temp, dtype=float)
-        ksta = np.asarray(ksta, dtype=float)
-        vt = _nb_vt(
-            vt0, temp, vdd, vbb,
-            sens.k1, sens.k2, sens.k3, sens.t_ref, sens.vdd_ref,
+#: The pointer/stride vectors each pass takes (argtypes, restype None).
+_C_SIGNATURES = {
+    "thermal_exponent": [ctypes.c_void_p] * 5,
+    "thermal_update": [ctypes.c_void_p] * 4,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _c_library_for(compiler: str, flags: tuple) -> ctypes.CDLL:
+    """The loaded thermal library, its two passes typed (per toolchain)."""
+    lib = cbuild.load("thermal_step", _C_SOURCE)
+    for name, argtypes in _C_SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = None
+    return lib
+
+
+def c_library() -> ctypes.CDLL:
+    """The compiled ``thermal_step`` passes, built on first use.
+
+    Raises :class:`repro.cbuild.BuildError` when this machine cannot
+    build or load them.
+    """
+    return _c_library_for(cbuild.COMPILER, cbuild.FLAGS)
+
+
+def c_available() -> bool:
+    """Whether :func:`c_library` builds and loads on this machine."""
+    try:
+        c_library()
+    except cbuild.BuildError:
+        return False
+    return True
+
+
+def _loop_nest(shape, arrays):
+    """The broadcast loop nest of ``arrays`` over ``shape``, coalesced.
+
+    Size-1 axes are dropped and adjacent axes merged wherever every
+    operand's strides allow, then the nest is padded to 4 levels.
+    Returns ``(dims, strides)`` — int64 vectors, ``strides`` holding 4
+    element strides per operand — or None when more than 4 levels
+    remain.
+    """
+    views = [np.broadcast_to(a, shape) for a in arrays]
+    dims: list = []
+    strides: list = [[] for _ in views]
+    for axis, size in enumerate(shape):
+        if size == 1:
+            continue
+        step = [view.strides[axis] // view.itemsize for view in views]
+        if dims and all(s[-1] == t * size for s, t in zip(strides, step)):
+            dims[-1] *= size
+            for s, t in zip(strides, step):
+                s[-1] = t
+        else:
+            dims.append(size)
+            for s, t in zip(strides, step):
+                s.append(t)
+    if len(dims) > 4:
+        return None
+    pad = 4 - len(dims)
+    return (
+        np.array([1] * pad + dims, dtype=np.int64),
+        np.array([[0] * pad + s for s in strides], dtype=np.int64),
+    )
+
+
+def _as_operand(array) -> np.ndarray:
+    """``array`` as float64 whose strides are whole elements."""
+    array = np.asarray(array, dtype=float)
+    if any(stride % array.itemsize for stride in array.strides):
+        array = np.ascontiguousarray(array)
+    return array
+
+
+def _pointers(*arrays) -> np.ndarray:
+    return np.array(
+        [0 if a is None else a.ctypes.data for a in arrays], dtype=np.uintp
+    )
+
+
+def _c_target(out, temp, shape, inputs) -> np.ndarray:
+    """``out`` when the C passes can write it directly, else a new array.
+
+    Directly means float64, C-contiguous, writeable, and overlapping no
+    input except ``temp`` itself laid out identically (each cell reads
+    its temperature before writing it).
+    """
+    if (
+        out is not None
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+        and out.flags.writeable
+        and not any(
+            a is not None and np.may_share_memory(out, a) for a in inputs
         )
-        exp_term = _nb_exp_arg(vt, temp, -Q_OVER_K, ideality)
-        np.exp(exp_term, out=exp_term)
-        prefactor = _nb_prefactor(ksta, vdd, temp)
-        shapes = [exp_term.shape, prefactor.shape]
-        if power_factor is not None:
-            power_factor = np.asarray(power_factor, dtype=float)
-            shapes.append(power_factor.shape)
-        shape = np.broadcast_shapes(*shapes)
-        p_sta = np.empty(shape)
-        np.multiply(
-            np.broadcast_to(prefactor, shape),
-            np.broadcast_to(exp_term, shape),
-            out=p_sta,
-        )
-        if power_factor is not None:
-            np.multiply(p_sta, np.broadcast_to(power_factor, shape), out=p_sta)
-        return vt, p_sta
-
-    def _numba_thermal_step(
-        vt0_leak,
-        vdd,
-        vbb,
-        temp,
-        ksta,
-        rth,
-        p_dyn,
-        t_heatsink,
-        sens: VtSensitivities,
-        ideality: float = IDEALITY_FACTOR,
-        power_factor=None,
-        t_runaway: float = _T_RUNAWAY_DEFAULT,
-        compute_delta: bool = False,
-        out: Optional[np.ndarray] = None,
-    ):
-        vt0_leak = np.asarray(vt0_leak, dtype=float)
-        vdd = np.asarray(vdd, dtype=float)
-        vbb = np.asarray(vbb, dtype=float)
-        temp = np.asarray(temp, dtype=float)
-        ksta = np.asarray(ksta, dtype=float)
-        rth = np.asarray(rth, dtype=float)
-        p_dyn = np.asarray(p_dyn, dtype=float)
-        vt = _nb_vt(
-            vt0_leak, temp, vdd, vbb,
-            sens.k1, sens.k2, sens.k3, sens.t_ref, sens.vdd_ref,
-        )
-        exp_term = _nb_exp_arg(vt, temp, -Q_OVER_K, ideality)
-        np.exp(exp_term, out=exp_term)
-        prefactor = _nb_prefactor(ksta, vdd, temp)
-        shapes = [exp_term.shape, prefactor.shape, rth.shape, p_dyn.shape]
-        if power_factor is not None:
-            power_factor = np.asarray(power_factor, dtype=float)
-            shapes.append(power_factor.shape)
-        shape = np.broadcast_shapes(*shapes)
-        if out is None:
-            out = np.empty(shape)
-        elif out.shape != shape:
-            raise ValueError(
-                f"thermal_step out buffer has shape {out.shape}, "
-                f"expected {shape}"
+        and (
+            not np.may_share_memory(out, temp)
+            or (
+                temp.shape == shape
+                and temp.strides == out.strides
+                and temp.ctypes.data == out.ctypes.data
             )
-        delta = None
-        with _POOL.borrow(shape, 2) as (p, ws):
-            np.multiply(
-                np.broadcast_to(prefactor, shape),
-                np.broadcast_to(exp_term, shape),
-                out=p,
-            )
-            if power_factor is not None:
-                np.multiply(p, np.broadcast_to(power_factor, shape), out=p)
-            np.add(np.broadcast_to(p_dyn, shape), p, out=p)
-            np.multiply(np.broadcast_to(rth, shape), p, out=p)
-            np.add(p, t_heatsink, out=p)
-            np.minimum(p, t_runaway, out=out)
-            if compute_delta:
-                np.subtract(out, np.broadcast_to(temp, shape), out=ws)
-                np.abs(ws, out=ws)
-                delta = ws.max(axis=-1)
-        return out, delta
-
-    def _numba_timing_error_cdf(freq, mean, sigma, rho):
-        freq = np.asarray(freq, dtype=float)
-        mean = np.asarray(mean, dtype=float)
-        sigma = np.asarray(sigma, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        neg_z = _nb_neg_z(freq, mean, sigma)
-        _scipy_ndtr(neg_z, out=neg_z)
-        shape = np.broadcast_shapes(neg_z.shape, rho.shape)
-        pe = np.empty(shape)
-        np.multiply(
-            np.broadcast_to(rho, shape),
-            np.broadcast_to(neg_z, shape),
-            out=pe,
         )
-        return pe
+    ):
+        return out
+    return np.empty(shape)
+
+
+def _c_thermal_step(
+    vt0_leak,
+    vdd,
+    vbb,
+    temp,
+    ksta,
+    rth,
+    p_dyn,
+    t_heatsink,
+    sens: VtSensitivities,
+    ideality: float = IDEALITY_FACTOR,
+    power_factor=None,
+    t_runaway: float = T_RUNAWAY,
+    compute_delta: bool = False,
+    out: Optional[np.ndarray] = None,
+    steps: int = 1,
+):
+    _check_steps(steps)
+    vt0_leak, vdd, vbb, temp, ksta, rth, p_dyn = (
+        _as_operand(a) for a in (vt0_leak, vdd, vbb, temp, ksta, rth, p_dyn)
+    )
+    if power_factor is not None:
+        power_factor = _as_operand(power_factor)
+    shape = _step_shape(
+        vt0_leak, vdd, vbb, temp, ksta, rth, p_dyn, power_factor
+    )
+    _check_out(out, shape)
+    target = _c_target(
+        out, temp, shape, (vt0_leak, vdd, vbb, ksta, rth, p_dyn, power_factor)
+    )
+    operands = (vt0_leak, vdd, vbb, ksta, rth, p_dyn, temp, target)
+    if power_factor is not None:
+        operands += (power_factor,)
+    nest = _loop_nest(shape, operands)
+    if nest is None or np.ndim(t_heatsink) or np.ndim(t_runaway):
+        return _numpy_thermal_step(
+            vt0_leak, vdd, vbb, temp, ksta, rth, p_dyn, t_heatsink, sens,
+            ideality, power_factor, t_runaway, compute_delta, out, steps,
+        )
+    dims, st = nest
+    vt0_s, vdd_s, vbb_s, ksta_s, rth_s, p_dyn_s, temp_s, full_s = st[:8]
+    pf_s = st[8] if power_factor is not None else full_s
+    lib = c_library()
+    delta = None
+    with _POOL.borrow(shape, 2 if compute_delta else 1) as buffers:
+        # ``arg`` (and ``buffers[1]``) are contiguous and full-shape like
+        # ``target``, so ``full_s`` addresses all three; the exponent
+        # pass writes ``arg`` sequentially, which is the nest's order.
+        arg = buffers[0]
+        exponent_ptrs = _pointers(vt0_leak, temp, vdd, vbb)
+        exponent_st = np.concatenate([vt0_s, temp_s, vdd_s, vbb_s])
+        exponent_consts = np.array([
+            sens.k1, sens.t_ref, sens.k2, sens.vdd_ref, sens.k3, -Q_OVER_K,
+            ideality,
+        ])
+        update_ptrs = _pointers(
+            ksta, vdd, temp, arg, power_factor, p_dyn, rth, target
+        )
+        update_st = np.concatenate([
+            ksta_s, vdd_s, temp_s, full_s, pf_s, p_dyn_s, rth_s, full_s,
+        ])
+        update_consts = np.array([float(t_heatsink), float(t_runaway)])
+        exponent_args = (
+            dims.ctypes.data, exponent_ptrs.ctypes.data,
+            exponent_st.ctypes.data, exponent_consts.ctypes.data,
+            arg.ctypes.data,
+        )
+        update_args = (
+            dims.ctypes.data, update_ptrs.ctypes.data,
+            update_st.ctypes.data, update_consts.ctypes.data,
+        )
+        for step in range(steps):
+            if compute_delta and step == steps - 1:
+                # The last step leaves its input intact for the delta.
+                update_ptrs[7] = buffers[1].ctypes.data
+            lib.thermal_exponent(*exponent_args)
+            np.exp(arg, out=arg)
+            lib.thermal_update(*update_args)
+            if step == 0:
+                # Later steps read the previous step's result.
+                exponent_ptrs[1] = update_ptrs[2] = target.ctypes.data
+                exponent_st[4:8] = update_st[8:12] = full_s
+        if compute_delta:
+            new = buffers[1]
+            previous = temp if steps == 1 else target
+            np.subtract(new, np.broadcast_to(previous, shape), out=arg)
+            np.abs(arg, out=arg)
+            delta = arg.max(axis=-1)
+            np.copyto(target, new)
+    if out is not None and target is not out:
+        np.copyto(out, target)
+        target = out
+    return target, delta
 
 
 # ----------------------------------------------------------------------
@@ -539,16 +758,23 @@ def _pick_impl(kernel: str, backend: str, choice: str) -> str:
         # routes its special functions through the active backend.
         if backend != "numpy":
             return "reference"
-        if NUMBA_AVAILABLE and "numba" in impls:
-            return "numba"
+        if "c" in impls and c_available():
+            return "c"
         if "numpy" in impls:
             return "numpy"
         return "reference"
-    if choice == "numba" and not NUMBA_AVAILABLE:
-        raise RuntimeError(
-            "kernel impl 'numba' requested but numba is not installed; "
-            "install numba or select EVAL_REPRO_KERNELS=auto"
-        )
+    if choice == "c":
+        try:
+            c_library()
+        except cbuild.BuildError as exc:
+            raise RuntimeError(
+                f"kernel impl 'c' requested but the C library cannot be "
+                f"built or loaded here ({exc}); select "
+                f"EVAL_REPRO_KERNELS=auto or numpy"
+            ) from exc
+        # The C tier covers the kernels that have a C implementation;
+        # the others run their fused numpy one.
+        return "c" if "c" in impls else "numpy"
     if choice not in impls:
         raise ValueError(
             f"unknown kernel impl {choice!r} for {kernel!r}; "
@@ -626,11 +852,6 @@ register_kernel_impl(
 register_kernel_impl("vt_and_static_power", "numpy", _numpy_vt_and_static_power)
 register_kernel_impl("thermal_step", "reference", _reference_thermal_step)
 register_kernel_impl("thermal_step", "numpy", _numpy_thermal_step)
+register_kernel_impl("thermal_step", "c", _c_thermal_step)
 register_kernel_impl("timing_error_cdf", "reference", _reference_timing_error_cdf)
 register_kernel_impl("timing_error_cdf", "numpy", _numpy_timing_error_cdf)
-if NUMBA_AVAILABLE:  # pragma: no cover - needs numba (CI parity leg)
-    register_kernel_impl(
-        "vt_and_static_power", "numba", _numba_vt_and_static_power
-    )
-    register_kernel_impl("thermal_step", "numba", _numba_thermal_step)
-    register_kernel_impl("timing_error_cdf", "numba", _numba_timing_error_cdf)

@@ -25,9 +25,7 @@ import numpy as np
 from .. import obs
 from ..backend import get_backend
 from ..chip.chip import Core
-
-#: Hard cap applied during iteration; reaching it flags thermal runaway.
-T_RUNAWAY: float = 500.0
+from ..kernels import T_RUNAWAY
 
 
 @dataclass(frozen=True)

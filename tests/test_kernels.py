@@ -2,22 +2,26 @@
 
 The contract under test is *bit*-identity: every registered
 implementation of every kernel — the hand-fused numpy one, and the
-numba one when numba is installed — must produce results bitwise equal
-to the ``reference`` composition of the seed leaf functions, at the
-kernel level, the solver level, and the full ``run_unit`` row level.
-Plus the satellite coverage: the workspace pool, the per-kernel
-counters, the backend error paths, thermal-runaway lane isolation, and
-the all-scalar fast paths in the leaf functions themselves.
+compiled C one where this machine can build it — must produce results
+bitwise equal to the ``reference`` composition of the seed leaf
+functions, at the kernel level, the solver level, and the full
+``run_unit`` row level.  Plus the satellite coverage: the workspace
+pool, the per-kernel counters, the backend error paths, the C build
+cache and its fallback, thermal-runaway lane isolation, and the
+all-scalar fast paths in the leaf functions themselves.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from repro import kernels, obs
+from repro import cbuild, kernels, obs
 from repro.backend import (
     available_backends,
     get_backend,
@@ -35,16 +39,20 @@ from repro.core import (
     power_algorithm,
 )
 from repro.exps.runner import ExperimentRunner, RunnerConfig
-from repro.kernels import NUMBA_AVAILABLE, WorkspacePool, workspace_pool
+from repro.kernels import T_RUNAWAY, WorkspacePool, workspace_pool
 from repro.obs import MetricsRegistry
 from repro.thermal import solve_temperatures, solve_temperatures_lanes
-from repro.thermal.solver import T_RUNAWAY
 from repro.units import Q_OVER_K
 
 SENS = DEFAULT_VT_SENSITIVITIES
 
+#: Whether this machine builds the C tier (it needs a C compiler).
+C_AVAILABLE = kernels.c_available()
+
 #: Implementations that must match ``reference`` bit for bit.
-FUSED_IMPLS = ["numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
+FUSED_IMPLS = ["numpy"] + (["c"] if C_AVAILABLE else [])
+
+needs_c = pytest.mark.skipif(not C_AVAILABLE, reason="no C compiler here")
 
 
 @pytest.fixture(autouse=True)
@@ -165,13 +173,16 @@ class TestKernelRegistry:
         for name in kernels.available_kernels():
             impls = set(kernels.available_impls(name))
             assert {"reference", "numpy"} <= impls
-            assert ("numba" in impls) == NUMBA_AVAILABLE
+        assert "c" in kernels.available_impls("thermal_step")
 
-    def test_auto_prefers_numba_then_numpy(self):
-        expected = "numba" if NUMBA_AVAILABLE else "numpy"
+    def test_auto_prefers_c_then_numpy(self, monkeypatch):
+        monkeypatch.delenv("EVAL_REPRO_KERNELS", raising=False)
+        expected = "c" if C_AVAILABLE else "numpy"
         assert kernels.active_impl("thermal_step") == expected
+        assert kernels.active_impl("timing_error_cdf") == "numpy"
 
-    def test_non_numpy_backends_fall_back_to_reference(self):
+    def test_non_numpy_backends_fall_back_to_reference(self, monkeypatch):
+        monkeypatch.delenv("EVAL_REPRO_KERNELS", raising=False)
         assert kernels.active_impl("thermal_step", backend="cupy") == "reference"
 
     def test_use_impl_forces_and_restores(self):
@@ -209,11 +220,11 @@ class TestKernelRegistry:
         with pytest.raises(ValueError, match="reference"):
             get_backend().kernel("thermal_step")
 
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed here")
-    def test_numba_without_numba_is_a_runtime_error(self, monkeypatch):
-        monkeypatch.setenv("EVAL_REPRO_KERNELS", "numba")
+    def test_c_without_a_compiler_is_a_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(cbuild, "COMPILER", "no-such-cc-for-eval-repro")
+        monkeypatch.setenv("EVAL_REPRO_KERNELS", "c")
         kernels.reset()
-        with pytest.raises(RuntimeError, match="numba is not installed"):
+        with pytest.raises(RuntimeError, match="C library cannot be built"):
             get_backend().kernel("thermal_step")
 
 
@@ -250,6 +261,75 @@ class TestBackendErrorPaths:
         monkeypatch.delenv("EVAL_REPRO_BACKEND")
         reset_backend()
         assert get_backend().name == "numpy"
+
+
+class TestCTier:
+    """The compiled tier's build cache, selection and fallback."""
+
+    def test_no_compiler_auto_resolves_to_numpy(self, monkeypatch):
+        monkeypatch.setattr(cbuild, "COMPILER", "no-such-cc-for-eval-repro")
+        monkeypatch.delenv("EVAL_REPRO_KERNELS", raising=False)
+        kernels.reset()
+        assert kernels.active_impl("thermal_step") == "numpy"
+        assert get_backend().kernel("thermal_step").impl_name == "numpy"
+        with pytest.raises(cbuild.BuildError, match="not found"):
+            kernels.c_library()
+
+    @needs_c
+    def test_forced_c_runs_numpy_for_kernels_without_c(self):
+        with kernels.use_impl("c"):
+            assert kernels.active_impl("thermal_step") == "c"
+            assert kernels.active_impl("timing_error_cdf") == "numpy"
+            assert kernels.active_impl("vt_and_static_power") == "numpy"
+
+    @needs_c
+    def test_library_name_keys_source_flags_and_compiler(self, monkeypatch):
+        name = cbuild.library_name("k", "int f(void) { return 1; }")
+        assert name != cbuild.library_name("k", "int f(void) { return 2; }")
+        monkeypatch.setattr(cbuild, "FLAGS", cbuild.FLAGS + ("-g",))
+        assert name != cbuild.library_name("k", "int f(void) { return 1; }")
+
+    @needs_c
+    def test_unwritable_cache_falls_back_to_the_temp_dir(
+        self, tmp_path, monkeypatch
+    ):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        monkeypatch.setattr("tempfile.tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        source = "int answer(void) { return 42; }"
+        file_name = cbuild.library_name("answer", source)
+        lib = cbuild._load_or_build("answer", source, file_name)
+        assert lib.answer() == 42
+        (built,) = (tmp_path / "tmp").glob("eval-repro-*/answer-*.so")
+        assert built.name == file_name
+        assert not list(built.parent.glob("*.tmp"))
+
+    @needs_c
+    def test_fresh_process_loads_the_cached_library_without_compiling(
+        self, tmp_path
+    ):
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cbuild.__file__))]
+            + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        env.pop("EVAL_REPRO_KERNELS", None)
+        build = "from repro import kernels; kernels.c_library()"
+        subprocess.run([sys.executable, "-c", build], env=env, check=True)
+        (built,) = (tmp_path / "eval-repro").glob("thermal_step-*.so")
+        load = (
+            "import subprocess\n"
+            "from repro import cbuild, kernels\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('compiler called')\n"
+            "cbuild._compile = refuse\n"
+            "subprocess.run = refuse\n"
+            "assert kernels.active_impl('thermal_step') == 'c'\n"
+        )
+        subprocess.run([sys.executable, "-c", load], env=env, check=True)
+        assert list((tmp_path / "eval-repro").iterdir()) == [built]
 
 
 def _importable(module: str) -> bool:
@@ -356,6 +436,173 @@ class TestKernelParity:
         out = _run_impl(impl, "timing_error_cdf", freq, mean, sigma, rho)
         assert (ref == 0.0).all()
         _assert_bitwise(ref, out)
+
+
+def _assert_bits(a, b):
+    """Bitwise equal, except that a NaN matches any NaN: which payload
+    an operation on two NaNs propagates is left open by IEEE 754, and
+    numpy's SIMD loops do not pin it either."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    assert (nan == np.isnan(b)).all()
+    assert (a.view(np.int64)[~nan] == b.view(np.int64)[~nan]).all()
+
+
+def _step_case(name, seed=11):
+    """``thermal_step`` operands in each shape a caller passes."""
+    rng = np.random.default_rng(seed)
+    n_vdd, n_vbb, lanes, n = 4, 3, 5, 15
+    per_lane = {
+        key: rng.uniform(lo, hi, (lanes, n))
+        for key, (lo, hi) in {
+            "vt0": (0.10, 0.20), "ksta": (1e-5, 5e-5), "rth": (0.5, 2.5),
+            "power_factor": (1.0, 1.4),
+        }.items()
+    }
+    vdd = np.linspace(0.8, 1.2, n_vdd)[:, None, None, None]
+    vbb = np.linspace(-0.5, 0.5, n_vbb)[None, :, None, None]
+    grid = (n_vdd, n_vbb, lanes, n)
+    if name == "freq_grid":  # full-grid p_dyn (per-cell frequencies)
+        return dict(per_lane, vdd=vdd, vbb=vbb,
+                    temp=rng.uniform(330.0, 420.0, grid),
+                    p_dyn=rng.uniform(0.1, 3.0, grid))
+    if name == "power_grid":  # p_dyn independent of vbb
+        return dict(per_lane, vdd=vdd, vbb=vbb,
+                    temp=rng.uniform(330.0, 420.0, grid),
+                    p_dyn=rng.uniform(0.1, 3.0, (n_vdd, 1, lanes, n)))
+    if name == "solver_lanes":  # (B, n) lanes over one core's (n,) arrays
+        return {
+            "vt0": per_lane["vt0"][0], "ksta": per_lane["ksta"][0],
+            "rth": per_lane["rth"][0], "power_factor": None,
+            "vdd": rng.uniform(0.8, 1.2, (lanes, n)),
+            "vbb": rng.uniform(-0.5, 0.5, (lanes, n)),
+            "temp": rng.uniform(330.0, 420.0, (lanes, n)),
+            "p_dyn": rng.uniform(0.1, 3.0, (lanes, n)),
+        }
+    if name == "solver_single":  # one core, (n,) everywhere
+        return {
+            "vt0": per_lane["vt0"][0], "ksta": per_lane["ksta"][0],
+            "rth": per_lane["rth"][0], "power_factor": None,
+            "vdd": np.full(n, 1.1), "vbb": np.full(n, 0.1),
+            "temp": rng.uniform(330.0, 420.0, n),
+            "p_dyn": rng.uniform(0.1, 3.0, n),
+        }
+    assert name == "scalars"
+    return {"vt0": 0.15, "ksta": 2e-5, "rth": 1.5, "power_factor": 1.1,
+            "vdd": 1.0, "vbb": 0.0, "temp": 350.0, "p_dyn": 1.3}
+
+
+STEP_SHAPES = ["freq_grid", "power_grid", "solver_lanes", "solver_single",
+               "scalars"]
+
+
+def _step(impl, ops, **kwargs):
+    kwargs.setdefault("power_factor", ops["power_factor"])
+    return _run_impl(
+        impl, "thermal_step", ops["vt0"], ops["vdd"], ops["vbb"],
+        ops["temp"], ops["ksta"], ops["rth"], ops["p_dyn"], 318.0, SENS,
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize("impl", FUSED_IMPLS)
+class TestThermalStepParity:
+    """``thermal_step`` against ``reference`` at every caller's operand
+    shapes and at the edges of its arithmetic."""
+
+    @pytest.mark.parametrize("shape", STEP_SHAPES)
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_caller_shapes(self, impl, shape, steps):
+        ops = _step_case(shape)
+        ref_t, ref_d = _step("reference", ops, compute_delta=True, steps=steps)
+        new_t, delta = _step(impl, ops, compute_delta=True, steps=steps)
+        _assert_bits(ref_t, new_t)
+        _assert_bits(ref_d, delta)
+
+    @pytest.mark.parametrize("shape", ["freq_grid", "solver_lanes"])
+    def test_without_power_factor(self, impl, shape):
+        ops = _step_case(shape, seed=12)
+        ref_t, _ = _step("reference", ops, power_factor=None, steps=3)
+        new_t, _ = _step(impl, ops, power_factor=None, steps=3)
+        _assert_bits(ref_t, new_t)
+
+    def test_nan_and_inf_inputs(self, impl):
+        ops = _step_case("freq_grid", seed=13)
+        ops["temp"][0, 0, 0, :4] = [np.nan, np.inf, -np.inf, 0.0]
+        ops["p_dyn"][1, 1, 1, :3] = [np.nan, np.inf, -np.inf]
+        ops["vt0"][2, :3] = [np.nan, np.inf, -np.inf]
+        ops["ksta"][3, :2] = [np.inf, -np.inf]
+        ops["power_factor"][4, :2] = [np.nan, np.inf]
+        with np.errstate(all="ignore"):
+            ref_t, ref_d = _step("reference", ops, compute_delta=True)
+            new_t, delta = _step(impl, ops, compute_delta=True)
+            ref_t2, _ = _step("reference", ops, steps=3)
+            new_t2, _ = _step(impl, ops, steps=3)
+        assert np.isnan(ref_t).any() and np.isnan(ref_d).any()
+        _assert_bits(ref_t, new_t)
+        _assert_bits(ref_d, delta)
+        _assert_bits(ref_t2, new_t2)
+
+    def test_cells_at_and_above_the_cap(self, impl):
+        ops = _step_case("power_grid", seed=14)
+        ops["temp"][0] = T_RUNAWAY
+        ops["temp"][1] = T_RUNAWAY + 250.0
+        ops["p_dyn"] = ops["p_dyn"] * np.array([1.0, 1.0, 1e4, 1.0])[
+            :, None, None, None
+        ]
+        ref_t, _ = _step("reference", ops)
+        new_t, _ = _step(impl, ops)
+        assert (ref_t == T_RUNAWAY).any() and (ref_t < T_RUNAWAY).any()
+        _assert_bits(ref_t, new_t)
+        # A cap the result equals exactly comes back unchanged.
+        cap = float(ref_t[3, 0, 0, 0])
+        ref_c, _ = _step("reference", ops, t_runaway=cap)
+        new_c, _ = _step(impl, ops, t_runaway=cap)
+        _assert_bits(ref_c, new_c)
+
+    def test_non_contiguous_out_and_operands(self, impl):
+        ops = _step_case("freq_grid", seed=15)
+        ops["temp"] = np.asfortranarray(ops["temp"])
+        ops["vt0"] = ops["vt0"][:, ::-1]
+        ref_t, _ = _step("reference", ops, steps=2)
+        out = np.empty(ref_t.shape[::-1]).T
+        new_t, _ = _step(impl, ops, steps=2, out=out)
+        assert new_t is out
+        _assert_bits(ref_t, new_t)
+
+    def test_rejects_zero_steps(self, impl):
+        with pytest.raises(ValueError, match="steps"):
+            _step(impl, _step_case("scalars"), steps=0)
+
+
+@pytest.mark.parametrize("impl", ["reference"] + FUSED_IMPLS)
+class TestThermalStepAliasing:
+    """``out`` may be ``temp`` itself: the delta is still the true one."""
+
+    def test_small_case_delta(self, impl):
+        temp = np.full((2, 3), 330.0)
+        ops = {"vt0": 0.15, "ksta": 1.2, "rth": 50.0, "power_factor": None,
+               "vdd": 1.0, "vbb": 0.0, "temp": temp, "p_dyn": 3.0}
+        expected_t, expected_d = _step(impl, dict(ops, temp=temp.copy()),
+                                       compute_delta=True)
+        new_t, delta = _step(impl, ops, compute_delta=True, out=temp)
+        assert new_t is temp
+        assert (expected_d > 100.0).all()
+        _assert_bits(expected_d, delta)
+        _assert_bits(expected_t, new_t)
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_grid_in_place(self, impl, steps):
+        ops = _step_case("freq_grid", seed=16)
+        ref_t, ref_d = _step("reference", ops, compute_delta=True, steps=steps)
+        temp = ops["temp"].copy()
+        new_t, delta = _step(impl, dict(ops, temp=temp), compute_delta=True,
+                             steps=steps, out=temp)
+        assert new_t is temp
+        _assert_bits(ref_t, new_t)
+        _assert_bits(ref_d, delta)
 
 
 # ----------------------------------------------------------------------

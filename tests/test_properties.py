@@ -339,3 +339,49 @@ def test_fig9_thermal_fixed_point_invariant_to_block_budget(seed, f_rel):
             subs, vdd, vbb, f, _SPEC.t_heatsink
         )
     )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(2, 6),
+    lanes=st.integers(1, 4),
+    scaled=st.booleans(),
+)
+def test_thermal_step_steps_equal_repeated_single_steps(
+    seed, steps, lanes, scaled
+):
+    # ``steps=k`` is k single steps fed back, bit for bit, under every
+    # implementation; the delta is the last single step's.
+    from repro import kernels
+    from repro.backend import get_backend
+    from repro.circuits.knobs import DEFAULT_VT_SENSITIVITIES
+
+    rng = np.random.default_rng(seed)
+    n = 6
+    vt0 = rng.uniform(0.10, 0.20, (lanes, n))
+    ksta = rng.uniform(1e-5, 5e-5, (lanes, n))
+    rth = rng.uniform(0.5, 40.0, (lanes, n))
+    factor = rng.uniform(1.0, 1.4, (lanes, n)) if scaled else None
+    vdd = np.linspace(0.8, 1.2, 3)[:, None, None, None]
+    vbb = np.linspace(-0.5, 0.5, 2)[None, :, None, None]
+    p_dyn = rng.uniform(0.1, 10.0, (3, 1, lanes, n))
+    start = np.full((3, 2, lanes, n), 323.0)
+    impls = ["reference", "numpy"] + (["c"] if kernels.c_available() else [])
+    for impl in impls:
+        with kernels.use_impl(impl):
+            step = get_backend().kernel("thermal_step")
+
+        def run(temp, k):
+            return step(
+                vt0, vdd, vbb, temp, ksta, rth, p_dyn, 318.0,
+                DEFAULT_VT_SENSITIVITIES, power_factor=factor,
+                compute_delta=True, steps=k,
+            )
+
+        temp, delta = start, None
+        for _ in range(steps):
+            temp, delta = run(temp, 1)
+        fused, fused_delta = run(start, steps)
+        assert np.array_equal(fused, temp), impl
+        assert np.array_equal(fused_delta, delta), impl
