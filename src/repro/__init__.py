@@ -58,7 +58,7 @@ from .core import (
     AdaptationResult,
     Environment,
     optimize_phase,
-    optimize_phases_batched,
+    optimize_units_batched,
 )
 from .exps.dse import SweepSpec, pareto_front, run_sweep
 from .exps.engine import RunResult, RunSpec
@@ -123,7 +123,7 @@ __all__ = [
     "metrics_registry",
     "obs",
     "optimize_phase",
-    "optimize_phases_batched",
+    "optimize_units_batched",
     "pareto_front",
     "quick_adapt",
     "run_sweep",

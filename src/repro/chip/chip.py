@@ -11,7 +11,7 @@ optimisation algorithms can operate fully vectorised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -186,6 +186,37 @@ _LANE_FIELDS = (
 )
 
 
+def cores_stackable(cores: Sequence[Core]) -> bool:
+    """Whether ``cores`` may share one lane stack.
+
+    Lanes share the calibration, delay and Vt-sensitivity objects (by
+    identity), ``vt_mean`` and the floorplan's subsystem names; only the
+    per-subsystem arrays differ.  The NoVar core, whose calibration
+    disables the random tail, therefore never stacks with variation
+    cores.
+    """
+    first = cores[0]
+    return all(
+        core is first
+        or (
+            core.calib is first.calib
+            and core.delay_params is first.delay_params
+            and core.vt_sens is first.vt_sens
+            and core.vt_mean == first.vt_mean
+            and core.floorplan.names == first.floorplan.names
+        )
+        for core in cores
+    )
+
+
+def lane_physics(cores: Sequence[Core]) -> "Core | CoreLanes":
+    """The physics node for one core per lane: the core itself when every
+    lane shares it, else the cores stacked as :class:`CoreLanes`."""
+    if all(core is cores[0] for core in cores):
+        return cores[0]
+    return CoreLanes.stack(list(cores))
+
+
 @dataclass
 class CoreLanes:
     """A population of cores as one ``(B, n_subsystems)`` tensor program.
@@ -199,10 +230,10 @@ class CoreLanes:
     ``i`` of any result is bit-identical to calling the same method on
     ``cores[i]`` alone.
 
-    Only cores sharing calibration/physics context may stack (the same
-    rule ``SubsystemArrays.stack`` enforces) — in particular the NoVar
-    core, whose calibration disables the random tail, never stacks with
-    variation cores.
+    Only cores sharing calibration/physics context may stack
+    (:func:`cores_stackable`) — in particular the NoVar core, whose
+    calibration disables the random tail, never stacks with variation
+    cores.
     """
 
     floorplan: Floorplan
@@ -245,21 +276,12 @@ class CoreLanes:
         """Stack cores along the lane axis, enforcing shared context."""
         if not cores:
             raise ValueError("need at least one core to stack")
+        if not cores_stackable(cores):
+            raise ValueError(
+                "cores must share calibration, delay/sensitivity parameters, "
+                "vt_mean and floorplan to stack into lanes"
+            )
         first = cores[0]
-        for member in cores[1:]:
-            if (
-                member.calib is not first.calib
-                or member.delay_params is not first.delay_params
-                or member.vt_sens is not first.vt_sens
-            ):
-                raise ValueError(
-                    "cores must share calibration/delay/sensitivity objects "
-                    "to stack into lanes"
-                )
-            if member.vt_mean != first.vt_mean:
-                raise ValueError("cores must share vt_mean to stack")
-            if member.floorplan.names != first.floorplan.names:
-                raise ValueError("cores must share a floorplan to stack")
         kwargs = {
             name: np.stack([getattr(core, name) for core in cores])
             for name in _LANE_FIELDS

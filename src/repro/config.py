@@ -21,16 +21,6 @@ Recognised environment variables::
     EVAL_REPRO_LOG_LEVEL    repro logger threshold (``--log-level``)
     EVAL_REPRO_LOG_JSON     any non-empty value selects JSON log lines
     EVAL_REPRO_METRICS_OUT  metrics JSON path (``--metrics-out``)
-    EVAL_REPRO_SERIAL_PHASES  any non-empty value routes Exh-Dyn phase
-                            optimisation through the per-phase serial
-                            loop (``--serial-phases``) instead of the
-                            batched kernels; bit-identical, for perf
-                            baselining and debugging
-    EVAL_REPRO_SERIAL_UNITS  any non-empty value routes (chip, core)
-                            unit execution through the per-unit serial
-                            loop (``--serial-units``) instead of the
-                            population-tier batched kernels;
-                            bit-identical, for perf baselining
     EVAL_REPRO_SHARED_MEM   ``0``/``false``/``no``/``off`` disables the
                             shared-memory population broadcast to pool
                             workers (``--no-shared-mem``); any other
@@ -78,8 +68,6 @@ class Settings:
     log_level: str = "WARNING"
     log_json: bool = False
     metrics_out: Optional[str] = None
-    batch_phases: bool = True
-    batch_units: bool = True
     shared_mem: bool = True
     service_addr: Optional[str] = None
     service_max_jobs: int = 8
@@ -158,12 +146,6 @@ class Settings:
             log_level=text("EVAL_REPRO_LOG_LEVEL", base.log_level).upper(),
             log_json=flag("EVAL_REPRO_LOG_JSON", base.log_json),
             metrics_out=text("EVAL_REPRO_METRICS_OUT", base.metrics_out),
-            batch_phases=not flag(
-                "EVAL_REPRO_SERIAL_PHASES", not base.batch_phases
-            ),
-            batch_units=not flag(
-                "EVAL_REPRO_SERIAL_UNITS", not base.batch_units
-            ),
             shared_mem=tristate("EVAL_REPRO_SHARED_MEM", base.shared_mem),
             service_addr=text("EVAL_REPRO_SERVICE", base.service_addr),
             service_max_jobs=integer(
@@ -213,10 +195,6 @@ class Settings:
             log_level=str(take("log_level", base.log_level)).upper(),
             log_json=bool(take("log_json", base.log_json)),
             metrics_out=take("metrics_out", base.metrics_out),
-            batch_phases=base.batch_phases
-            and not getattr(args, "serial_phases", False),
-            batch_units=base.batch_units
-            and not getattr(args, "serial_units", False),
             shared_mem=take("shared_mem", base.shared_mem),
             service_addr=take("service", base.service_addr),
             service_max_jobs=take("service_max_jobs", base.service_max_jobs),
@@ -274,22 +252,6 @@ class Settings:
             default=defaults.metrics_out,
             help="write the merged fleet-wide metrics registry to this "
                  "JSON file at exit",
-        )
-        parser.add_argument(
-            "--serial-phases",
-            action="store_true",
-            default=not defaults.batch_phases,
-            help="route Exh-Dyn phase optimisation through the per-phase "
-                 "serial loop instead of the batched kernels "
-                 "(bit-identical; for perf baselining)",
-        )
-        parser.add_argument(
-            "--serial-units",
-            action="store_true",
-            default=not defaults.batch_units,
-            help="route (chip, core) unit execution through the per-unit "
-                 "serial loop instead of the population-tier batched "
-                 "kernels (bit-identical; for perf baselining)",
         )
         parser.add_argument(
             "--shared-mem",

@@ -24,13 +24,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..chip.chip import Core, CoreLanes
+from ..chip.chip import Core, lane_physics
 from ..circuits.knobs import DEFAULT_KNOB_RANGES, KnobRanges
 from .state import (
     Configuration,
     EvaluatedState,
     Violation,
-    evaluate_configuration,
     evaluate_configurations,
 )
 
@@ -83,6 +82,8 @@ def retune(
 ) -> RetuningResult:
     """Run the Section 4.3.3 retuning cycles to a safe, maximal frequency.
 
+    A batch of one over :func:`retune_batched`.
+
     Args:
         core: The physical core.
         config: The controller's chosen configuration.
@@ -95,81 +96,11 @@ def retune(
         t_heatsink: Heat-sink temperature.
         max_adjustments: Safety bound on total steps.
     """
-    step = knob_ranges.f_step
-    f_min, f_max = knob_ranges.f_min, knob_ranges.f_max
-
-    def check(freq: float) -> "tuple[EvaluatedState, Violation]":
-        state = evaluate_configuration(
-            core,
-            config.with_frequency(freq),
-            activity,
-            rho,
-            t_heatsink,
-            checker=checker,
-        )
-        return state, state.violation(core, pe_max=pe_max)
-
-    f = config.f_core
-    state, violation = check(f)
-    initial_violation = violation
-    steps = 0
-
-    if violation is not Violation.NONE:
-        # Exponential back-off: 1, 2, 4, 8... steps per move.
-        move = 1
-        while violation is not Violation.NONE and f > f_min and steps < max_adjustments:
-            f = max(f - move * step, f_min)
-            state, violation = check(f)
-            steps += 1
-            move = min(move * 2, 8)
-        # Gradual single-step ramp back up to just below the violation.
-        while f + step <= config.f_core and steps < max_adjustments:
-            probe_state, probe_violation = check(f + step)
-            steps += 1
-            if probe_violation is not Violation.NONE:
-                break
-            f += step
-            state = probe_state
-        outcome = _VIOLATION_OUTCOME[initial_violation]
-        final = config.with_frequency(f)
-        return RetuningResult(
-            config=final,
-            state=state,
-            outcome=outcome,
-            initial_violation=initial_violation,
-            f_initial=config.f_core,
-            steps=steps,
-        )
-
-    # No violation: probe upward.
-    probe_state, probe_violation = check(min(f + step, f_max))
-    steps += 1
-    if probe_violation is not Violation.NONE or f + step > f_max:
-        return RetuningResult(
-            config=config.with_frequency(f),
-            state=state,
-            outcome=Outcome.NO_CHANGE,
-            initial_violation=Violation.NONE,
-            f_initial=config.f_core,
-            steps=steps,
-        )
-    f += step
-    state = probe_state
-    while f + step <= f_max and steps < max_adjustments:
-        probe_state, probe_violation = check(f + step)
-        steps += 1
-        if probe_violation is not Violation.NONE:
-            break
-        f += step
-        state = probe_state
-    return RetuningResult(
-        config=config.with_frequency(f),
-        state=state,
-        outcome=Outcome.LOW_FREQ,
-        initial_violation=Violation.NONE,
-        f_initial=config.f_core,
-        steps=steps,
-    )
+    return retune_batched(
+        [core], [config], [activity], [rho], pe_max=pe_max, checker=checker,
+        knob_ranges=knob_ranges, t_heatsink=t_heatsink,
+        max_adjustments=max_adjustments,
+    )[0]
 
 
 def retune_batched(
@@ -184,21 +115,24 @@ def retune_batched(
     t_heatsink: Optional[float] = None,
     max_adjustments: int = 64,
 ) -> List[RetuningResult]:
-    """Lane-masked :func:`retune` over many (core, configuration) lanes.
+    """The retuning cycles over many (core, configuration) lanes.
 
-    Each lane ``i`` retunes ``configs[i]`` on ``cores[i]`` exactly as the
-    serial function would — every constraint check a lane makes serially
-    is made here at the same frequency with the same elementwise physics,
-    only grouped so each round of checks across the still-active lanes is
-    one :func:`~repro.core.state.evaluate_configurations` call.  Lanes
-    retire from each loop precisely when their serial counterpart would
-    exit it, so every returned :class:`RetuningResult` is bit-identical
-    to ``retune(cores[i], configs[i], ...)``.
+    Each lane ``i`` retunes ``configs[i]`` on ``cores[i]``:
 
-    All lanes may share one core (pass ``[core] * n``, the phase-matrix
-    case) or carry distinct cores of one population (the unit-batched
-    case, which stacks them into a
-    :class:`~repro.chip.chip.CoreLanes` tensor once).
+    * on a violation, back off exponentially (1, 2, 4, 8... steps of
+      ``f_step``) until it clears, then ramp up in single steps to just
+      below the violating frequency (outcome: the initial violation);
+    * with no violation, probe one step up; if that violates the
+      controller's output was near-optimal (NoChange), otherwise keep
+      ramping toward ``f_max`` (LowFreq).
+
+    Lanes are masked, not coupled: each round of checks across the
+    still-active lanes is one
+    :func:`~repro.core.state.evaluate_configurations` call, and a lane
+    retires from each loop exactly when it would alone, so its result
+    never depends on its batch-mates.  All lanes may share one core
+    (pass ``[core] * n``) or carry distinct cores of one population,
+    stacked into a :class:`~repro.chip.chip.CoreLanes` tensor once.
     """
     n_lanes = len(configs)
     cores = list(cores)
@@ -206,20 +140,15 @@ def retune_batched(
         raise ValueError("need one core per configuration lane")
     if n_lanes == 0:
         return []
-    shared = all(core is cores[0] for core in cores)
-    lanes_view = None if shared else CoreLanes.stack(cores)
+    node = lane_physics(cores)
+    shared = node is cores[0]
 
     step = knob_ranges.f_step
     f_min, f_max = knob_ranges.f_min, knob_ranges.f_max
 
     def check(lanes, freqs) -> List[EvaluatedState]:
-        node = (
-            cores[0]
-            if shared
-            else lanes_view.lane_subset(np.asarray(lanes, dtype=int))
-        )
         return evaluate_configurations(
-            node,
+            node if shared else node.lane_subset(np.asarray(lanes, dtype=int)),
             [configs[i].with_frequency(freq) for i, freq in zip(lanes, freqs)],
             [activities[i] for i in lanes],
             [rhos[i] for i in lanes],

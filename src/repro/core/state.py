@@ -10,6 +10,7 @@ Section 4.3.2 observe, and what the retuning cycles react to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -19,8 +20,7 @@ import numpy as np
 from ..backend import get_backend
 from ..chip.chip import Core
 from ..mitigation.base import TechniqueState
-from ..thermal.solver import solve_temperatures, solve_temperatures_lanes
-from ..timing.errors import stage_error_rates
+from ..thermal.solver import solve_temperatures_lanes
 from ..timing.paths import StageDelays, StageModifiers, stage_delays
 
 
@@ -45,8 +45,10 @@ class Configuration:
     technique: TechniqueState
 
     def __post_init__(self) -> None:
-        if self.f_core <= 0.0:
-            raise ValueError("core frequency must be positive")
+        if not math.isfinite(self.f_core) or self.f_core <= 0.0:
+            raise ValueError(
+                f"core frequency must be positive and finite, got {self.f_core!r}"
+            )
         if self.vdd.shape != self.vbb.shape:
             raise ValueError("vdd and vbb must have matching shapes")
 
@@ -114,6 +116,8 @@ def evaluate_configuration(
 ) -> EvaluatedState:
     """Settle the physics for a configuration and workload activity.
 
+    A batch of one over :func:`evaluate_configurations`.
+
     Args:
         core: The physical core.
         config: Frequency, voltages and technique state to apply.
@@ -124,34 +128,9 @@ def evaluate_configuration(
         checker: Whether the Diva-like checker is present (its power is
             charged to the core); False for Baseline/NoVar.
     """
-    calib = core.calib
-    th = calib.t_heatsink_max if t_heatsink is None else t_heatsink
-    power_factors = config.technique.power_factors(core)
-    modifiers = config.technique.stage_modifiers(core)
-
-    activity = np.asarray(activity, dtype=float) * power_factors
-    solution = solve_temperatures(
-        core, config.vdd, config.vbb, config.f_core, activity, th
-    )
-    # Leakage also scales with the enabled replica's extra devices.
-    p_static = solution.p_static * power_factors
-
-    delays = stage_delays(
-        core, config.vdd, config.vbb, solution.temperature, modifiers
-    )
-    pe = stage_error_rates(config.f_core, delays, rho)
-
-    p_dyn_total = float(solution.p_dynamic.sum())
-    return EvaluatedState(
-        config=config,
-        temperature=solution.temperature,
-        p_dynamic=solution.p_dynamic,
-        p_static=p_static,
-        pe_per_subsystem=pe,
-        l2_power=core.l2_power(config.f_core),
-        checker_power=calib.checker_power_fraction * p_dyn_total if checker else 0.0,
-        delays=delays,
-    )
+    return evaluate_configurations(
+        core, [config], [activity], [rho], t_heatsink, checker=checker
+    )[0]
 
 
 def evaluate_configurations(
@@ -163,24 +142,19 @@ def evaluate_configurations(
     *,
     checker: bool = True,
 ) -> List[EvaluatedState]:
-    """Lane-batched :func:`evaluate_configuration` (bit-identical per lane).
+    """Settle many independent (configuration, workload) lanes at once.
 
-    Stacks many independent (configuration, workload) lanes along axis 0
-    and settles them all with one vectorised physics pass: one
-    lane-masked thermal solve, one delay-model evaluation, one
-    error-rate evaluation.  The physics is elementwise per subsystem, so
-    each returned :class:`EvaluatedState` equals what
-    :func:`evaluate_configuration` computes for that lane alone.
+    Stacks the lanes along axis 0 and settles them all with one
+    vectorised physics pass: one lane-masked thermal solve, one
+    delay-model evaluation, one error-rate evaluation.  The physics is
+    elementwise per subsystem, so each returned :class:`EvaluatedState`
+    is what that lane settles to alone.
 
     ``core`` may be a single :class:`Core` (all lanes share its physics)
     or a :class:`~repro.chip.chip.CoreLanes` population whose lane axis
     matches ``configs`` — the population-tier batched paths use the
     latter to settle every (chip, core) unit of a block in one pass.
-    Array assembly routes through the active
-    :mod:`repro.backend` namespace so a cupy/jax backend batches the
-    same program on device memory.
     """
-    xp = get_backend().xp
     calib = core.calib
     th = calib.t_heatsink_max if t_heatsink is None else t_heatsink
     # Technique states repeat heavily across lanes (a handful of
@@ -198,18 +172,18 @@ def evaluate_configurations(
                 modifiers.sigma_scale,
             )
     lanes = [rows[config.technique] for config in configs]
-    power_factors = xp.stack([pf for pf, _, _ in lanes])
+    power_factors = np.stack([pf for pf, _, _ in lanes])
     stacked_modifiers = StageModifiers(
-        delay_scale=xp.stack([ds for _, ds, _ in lanes]),
-        sigma_scale=xp.stack([ss for _, _, ss in lanes]),
+        delay_scale=np.stack([ds for _, ds, _ in lanes]),
+        sigma_scale=np.stack([ss for _, _, ss in lanes]),
     )
-    activity = xp.stack(
-        [xp.asarray(a, dtype=float) for a in activities]
+    activity = np.stack(
+        [np.asarray(a, dtype=float) for a in activities]
     ) * power_factors
-    rho = xp.stack([xp.asarray(r, dtype=float) for r in rhos])
-    freq = xp.asarray([config.f_core for config in configs], dtype=float)[:, None]
-    vdd = xp.stack([config.vdd for config in configs])
-    vbb = xp.stack([config.vbb for config in configs])
+    rho = np.stack([np.asarray(r, dtype=float) for r in rhos])
+    freq = np.asarray([config.f_core for config in configs], dtype=float)[:, None]
+    vdd = np.stack([config.vdd for config in configs])
+    vbb = np.stack([config.vbb for config in configs])
 
     solution = solve_temperatures_lanes(core, vdd, vbb, freq, activity, th)
     p_static = solution.p_static * power_factors

@@ -30,7 +30,7 @@ from ..microarch.phases import PhaseDetector, PhaseInstance
 from ..microarch.pipeline import DEFAULT_CORE_CONFIG, CoreConfig
 from ..microarch.simulator import measure_workload
 from ..mitigation.base import TechniqueState
-from .adaptation import AdaptationResult, optimize_phase, optimize_units_batched
+from .adaptation import AdaptationResult, optimize_units_batched
 from .environments import AdaptationMode, Environment
 
 
@@ -106,6 +106,8 @@ def run_timeline(
 ) -> TimelineResult:
     """Execute a phase stream under EVAL's runtime (Figure 6).
 
+    A batch of one over :func:`run_timelines_batched`.
+
     Args:
         core: The physical core.
         env: Capability environment.
@@ -121,67 +123,10 @@ def run_timeline(
         seed: RNG seed for the BBV sampling noise.
         core_config: Pipeline configuration of the core.
     """
-    detector = detector or PhaseDetector()
-    rng = np.random.default_rng(seed)
-    saved: Dict[int, AdaptationResult] = {}
-    result = TimelineResult()
-
-    for phase in phase_stream:
-        event_bbv = phase.sample_bbv(rng)
-        detected = detector.observe(event_bbv)
-        reuse = detected.phase_id in saved and not detected.is_new
-
-        if reuse:
-            decision = saved[detected.phase_id]
-            overhead_s = costs.transition
-        else:
-            technique = TechniqueState(domain=phase.profile.domain)
-            base_cfg = technique.core_config(
-                core_config, replication_built=env.fu
-            )
-            meas_full = measure_workload(phase.profile, base_cfg)
-            meas_resized = None
-            if env.queue:
-                meas_resized = measure_workload(
-                    phase.profile,
-                    base_cfg.with_resized_queue(phase.profile.domain),
-                )
-            decision = optimize_phase(
-                core, env, meas_full, meas_resized, mode=mode, bank=bank
-            )
-            saved[detected.phase_id] = decision
-            overhead_s = (
-                costs.activity_measurement
-                + costs.controller_run
-                + costs.transition
-            )
-
-        duration_s = phase.duration_ms * 1e-3
-        f_nominal = core.calib.f_nominal
-        if novar_perf and phase.spec.name in novar_perf:
-            perf_rel = decision.performance_ips / novar_perf[phase.spec.name]
-        else:
-            params_perf = decision.performance_ips
-            nominal = f_nominal / (
-                decision.measurement.cpi_comp
-                + decision.measurement.l2_miss_rate
-                * f_nominal
-                * core.calib.memory_latency_seconds
-                * decision.measurement.overlap_factor
-            )
-            perf_rel = params_perf / nominal
-        result.events.append(
-            TimelineEvent(
-                phase_name=phase.spec.name,
-                detector_phase_id=detected.phase_id,
-                duration_ms=phase.duration_ms,
-                reused_saved_config=reuse,
-                f_rel=decision.f_core / f_nominal,
-                perf_rel=float(perf_rel),
-                overhead_fraction=min(1.0, overhead_s / duration_s),
-            )
-        )
-    return result
+    return run_timelines_batched(
+        [core], env, phase_stream, mode, bank, costs, novar_perf, [detector],
+        seed, core_config,
+    )[0]
 
 
 def run_timelines_batched(
@@ -198,14 +143,15 @@ def run_timelines_batched(
 ) -> List[TimelineResult]:
     """Advance the adaptation timeline of many cores in lockstep.
 
-    Each lane (core) executes the same phase stream :func:`run_timeline`
-    would give it alone — its own BBV-noise RNG stream (``seed`` may be
-    one shared seed or one per lane), its own phase detector and its own
-    saved-configuration table — but the per-step controller runs of all
-    lanes that hit a *new* phase at that step are batched into a single
-    :func:`~repro.core.adaptation.optimize_units_batched` program.
-    Results are bit-identical per lane, RNG streams included, because
-    lane state never crosses lanes: only the adaptation math is grouped.
+    Each lane (core) executes the phase stream with its own BBV-noise
+    RNG stream (``seed`` may be one shared seed or one per lane), its
+    own phase detector and its own saved-configuration table.  On a
+    recurring phase a lane reuses its saved configuration; the
+    controller runs of all lanes that hit a *new* phase at a step are
+    batched into a single
+    :func:`~repro.core.adaptation.optimize_units_batched` program.  Lane
+    state never crosses lanes — only the adaptation math is grouped — so
+    a lane's events do not depend on its batch-mates.
     """
     n_lanes = len(cores)
     seeds = (

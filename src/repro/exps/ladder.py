@@ -107,9 +107,7 @@ def run_ladder(
             cache_enabled=use_cache,
             shared_mem=shared_mem,
         )
-    runner = runner or ExperimentRunner(
-        RunnerConfig(), batch_phases=settings.batch_phases
-    )
+    runner = runner or ExperimentRunner(RunnerConfig())
     environments = (
         list(environments) if environments is not None else list(ADAPTIVE_ENVIRONMENTS)
     )

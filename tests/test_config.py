@@ -54,10 +54,11 @@ class TestFromEnv:
         assert Settings.from_env({}).cache_enabled
 
     def test_serial_phases_variable(self):
-        assert Settings.from_env({}).batch_phases
-        assert not Settings.from_env(
-            {"EVAL_REPRO_SERIAL_PHASES": "1"}
-        ).batch_phases
+        # The serial twins are gone: the retired variables change nothing.
+        retired = {"EVAL_REPRO_SERIAL_PHASES": "1", "EVAL_REPRO_SERIAL_UNITS": "1"}
+        assert Settings.from_env(retired) == Settings.from_env({})
+        assert not hasattr(Settings(), "batch_phases")
+        assert not hasattr(Settings(), "batch_units")
 
     def test_shared_mem_variable(self):
         assert Settings.from_env({}).shared_mem
@@ -92,13 +93,12 @@ class TestFromArgs:
         assert not self._parse(["--no-cache"]).cache_enabled
         assert self._parse([]).cache_enabled
 
-    def test_serial_phases_flag(self):
-        assert self._parse([]).batch_phases
-        assert not self._parse(["--serial-phases"]).batch_phases
-        # The env variable and the flag each independently force serial.
-        env = {"EVAL_REPRO_SERIAL_PHASES": "1"}
-        assert not self._parse([], env).batch_phases
-        assert not self._parse(["--serial-phases"], env).batch_phases
+    def test_serial_phases_flag(self, capsys):
+        # The serial twins are gone: the retired flags are usage errors.
+        for flag in ("--serial-phases", "--serial-units"):
+            with pytest.raises(SystemExit):
+                self._parse([flag])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_shared_mem_flag_beats_env_beats_default(self):
         assert self._parse([]).shared_mem  # default on

@@ -21,7 +21,7 @@ from repro.core import (
     evaluate_configuration,
     evaluate_configurations,
     optimize_phase,
-    optimize_phases_batched,
+    optimize_units_batched,
     retune,
 )
 from repro.microarch import DEFAULT_CORE_CONFIG, measure_workload
@@ -233,6 +233,43 @@ class TestRetuning:
         assert again.f_final == pytest.approx(probe.f_final)
 
 
+class TestNonFiniteFrequency:
+    """A core frequency must be finite and positive wherever it enters."""
+
+    BAD = (float("nan"), float("inf"), -float("inf"), 0.0)
+
+    def _config(self, core, f):
+        n = core.n_subsystems
+        return Configuration(
+            f_core=f, vdd=np.full(n, 1.0), vbb=np.zeros(n),
+            technique=TechniqueState(),
+        )
+
+    @pytest.mark.parametrize("f", BAD)
+    def test_configuration_rejects(self, core, f):
+        with pytest.raises(ValueError, match="positive and finite"):
+            self._config(core, f)
+        with pytest.raises(ValueError, match="positive and finite"):
+            self._config(core, 3.0e9).with_frequency(f)
+
+    @pytest.mark.parametrize("f", BAD)
+    def test_evaluate_configuration_rejects(self, core, int_measurement, f):
+        with pytest.raises(ValueError, match="positive and finite"):
+            evaluate_configuration(
+                core, self._config(core, f),
+                int_measurement.activity, int_measurement.rho,
+            )
+
+    @pytest.mark.parametrize("f", BAD)
+    def test_retune_rejects(self, core, int_measurement, f):
+        with pytest.raises(ValueError, match="positive and finite"):
+            retune(
+                core, self._config(core, f),
+                int_measurement.activity, int_measurement.rho,
+                pe_max=core.calib.pe_max,
+            )
+
+
 class TestOptimizePhase:
     def test_environment_ladder_is_monotone(self, core, int_measurement, q_measurements, fu_measurements):
         meas = int_measurement
@@ -320,15 +357,21 @@ def _assert_results_identical(batched, serial):
         assert got.measurement is want.measurement
 
 
+def _phase_block(core, env, phases, **kwargs):
+    """One unit's phases adapted as one lane block."""
+    return optimize_units_batched([(core, phases)], env, **kwargs)[0]
+
+
 class TestOptimizePhasesBatched:
-    """Golden tests: the batched path reproduces the per-phase loop."""
+    """A unit's phases adapted as one lane block match each phase
+    adapted alone (``optimize_phase``, a block of one)."""
 
     def test_matches_serial_ts_asv(self, core, int_measurement, fp_measurement):
         phases = [(int_measurement, None), (fp_measurement, None)]
         serial = [
             optimize_phase(core, TS_ASV, meas) for meas, _ in phases
         ]
-        batched = optimize_phases_batched(core, TS_ASV, phases)
+        batched = _phase_block(core, TS_ASV, phases)
         _assert_results_identical(batched, serial)
 
     def test_matches_serial_with_queue_resize(self, core, q_measurements):
@@ -337,7 +380,7 @@ class TestOptimizePhasesBatched:
         serial = [
             optimize_phase(core, TS_ASV_Q, meas, rs) for meas, rs in phases
         ]
-        batched = optimize_phases_batched(core, TS_ASV_Q, phases)
+        batched = _phase_block(core, TS_ASV_Q, phases)
         _assert_results_identical(batched, serial)
 
     def test_matches_serial_with_low_slope_fu(self, core, fu_measurements):
@@ -347,7 +390,7 @@ class TestOptimizePhasesBatched:
             optimize_phase(core, TS_ASV_Q_FU, meas, rs)
             for meas, rs in phases
         ]
-        batched = optimize_phases_batched(core, TS_ASV_Q_FU, phases)
+        batched = _phase_block(core, TS_ASV_Q_FU, phases)
         _assert_results_identical(batched, serial)
 
     def test_matches_serial_mixed_phases(
@@ -362,7 +405,7 @@ class TestOptimizePhasesBatched:
             serial = [
                 optimize_phase(which, TS, meas) for meas, _ in phases
             ]
-            batched = optimize_phases_batched(which, TS, phases)
+            batched = _phase_block(which, TS, phases)
             _assert_results_identical(batched, serial)
 
     def test_retune_disabled_matches_serial(self, core, int_measurement, fp_measurement):
@@ -371,27 +414,20 @@ class TestOptimizePhasesBatched:
             optimize_phase(core, TS_ASV, meas, retune_enabled=False)
             for meas, _ in phases
         ]
-        batched = optimize_phases_batched(
+        batched = _phase_block(
             core, TS_ASV, phases, retune_enabled=False
         )
         _assert_results_identical(batched, serial)
 
     def test_queue_env_requires_resized_measurements(self, core, int_measurement):
         with pytest.raises(ValueError, match="resize"):
-            optimize_phases_batched(
+            _phase_block(
                 core,
                 TS_ASV_Q,
                 [(int_measurement, None), (int_measurement, None)],
             )
 
-    def test_single_phase_falls_back_to_serial(self, core, int_measurement):
-        serial = optimize_phase(core, TS_ASV, int_measurement)
-        (batched,) = optimize_phases_batched(
-            core, TS_ASV, [(int_measurement, None)]
-        )
-        _assert_results_identical([batched], [serial])
-
-    def test_fuzzy_mode_falls_back_to_serial(self, core, int_measurement, tiny_bank):
+    def test_fuzzy_mode_matches_each_phase_alone(self, core, int_measurement, tiny_bank):
         phases = [(int_measurement, None), (int_measurement, None)]
         serial = [
             optimize_phase(
@@ -400,7 +436,7 @@ class TestOptimizePhasesBatched:
             )
             for meas, _ in phases
         ]
-        batched = optimize_phases_batched(
+        batched = _phase_block(
             core, TS_ASV, phases,
             mode=AdaptationMode.FUZZY_DYN, bank=tiny_bank,
         )

@@ -106,13 +106,10 @@ class TestFromSettings:
     def test_runner_from_settings(self, tmp_path):
         from repro.config import Settings
 
-        settings = Settings(
-            chips=2, cache_dir=str(tmp_path), batch_phases=False
-        )
+        settings = Settings(chips=2, cache_dir=str(tmp_path))
         runner = ExperimentRunner.from_settings(settings)
         assert runner.config.n_chips == 2
         assert runner.cache is not None
-        assert not runner.batch_phases
         override = RunnerConfig(n_chips=1)
         runner = ExperimentRunner.from_settings(settings, config=override)
         assert runner.config is override
