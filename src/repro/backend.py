@@ -1,21 +1,14 @@
 """Swappable array backend for the population-tier kernels.
 
-Every tensor kernel in the repo — the phase-matrix optimizer, the
-thermal fixed point, the lane-masked retuner, and the population-tier
-batched paths added with them — routes its array math through one
-:class:`ArrayBackend`.  Today the only registered backend is numpy
-(plus the two scipy normal-CDF primitives the timing model needs), but
-the shim is written ``xp``-style on purpose: a cupy or jax backend is
-one :func:`register_backend` call away and nothing above this module
-has to change.
+The tensor kernels resolve their special functions and fused physics
+kernels through one :class:`ArrayBackend`.  The only registered backend
+is numpy (plus the two scipy normal-CDF primitives the timing model
+needs); :func:`register_backend` adds another under a new name.
 
 Selection is lazy and environment-driven::
 
     EVAL_REPRO_BACKEND=numpy  python -m repro ...   # explicit default
     set_backend("numpy")                            # programmatic
-
-Backends other than numpy raise a clear error if their package is not
-importable — the container never grows a hard dependency on them.
 
 Besides the ``xp`` namespace, a backend resolves named *fused kernels*
 (:meth:`ArrayBackend.kernel`) for the hot physics chains — see
@@ -41,10 +34,9 @@ _DEFAULT = "numpy"
 class ArrayBackend:
     """One array namespace plus the special functions the physics needs.
 
-    ``xp`` is the numpy-compatible module (``numpy``, ``cupy``,
-    ``jax.numpy``); ``ndtr``/``ndtri`` are the standard normal CDF and
-    its inverse, which live outside the array API proper and therefore
-    ride explicitly.
+    ``xp`` is the numpy-compatible module; ``ndtr``/``ndtri`` are the
+    standard normal CDF and its inverse, which live outside the array
+    API proper and therefore ride explicitly.
     """
 
     name: str
@@ -96,36 +88,7 @@ def _build_numpy() -> ArrayBackend:
     return ArrayBackend(name="numpy", xp=numpy, ndtr=ndtr, ndtri=ndtri)
 
 
-def _build_cupy() -> ArrayBackend:  # pragma: no cover - optional dep
-    try:
-        import cupy
-        from cupyx.scipy.special import ndtr  # type: ignore[import]
-    except ImportError as exc:
-        raise RuntimeError(
-            "backend 'cupy' requested but cupy is not installed; "
-            "install cupy or select EVAL_REPRO_BACKEND=numpy"
-        ) from exc
-    from cupyx.scipy.special import ndtri  # type: ignore[import]
-
-    return ArrayBackend(name="cupy", xp=cupy, ndtr=ndtr, ndtri=ndtri)
-
-
-def _build_jax() -> ArrayBackend:  # pragma: no cover - optional dep
-    try:
-        import jax.numpy as jnp
-        from jax.scipy.special import ndtr  # type: ignore[import]
-        from jax.scipy.stats.norm import ppf as ndtri  # type: ignore[import]
-    except ImportError as exc:
-        raise RuntimeError(
-            "backend 'jax' requested but jax is not installed; "
-            "install jax or select EVAL_REPRO_BACKEND=numpy"
-        ) from exc
-    return ArrayBackend(name="jax", xp=jnp, ndtr=ndtr, ndtri=ndtri)
-
-
 register_backend("numpy", _build_numpy)
-register_backend("cupy", _build_cupy)
-register_backend("jax", _build_jax)
 
 
 def set_backend(name: str) -> ArrayBackend:

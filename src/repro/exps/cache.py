@@ -49,7 +49,6 @@ import json
 import logging
 import os
 import tempfile
-import warnings
 from enum import Enum
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Sequence, Union
@@ -460,28 +459,6 @@ class ExperimentCache:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ExperimentCache({self.store!r})"
-
-    # -- paths ----------------------------------------------------------
-    def _path(self, kind: str, key: str, suffix: str) -> Path:
-        """Deprecated: artifacts are not guaranteed to live on a path.
-
-        Kept as a shim for one release so external callers keep working
-        against directory-backed stores; anything else has no paths to
-        give out.  Go through the :class:`ArtifactStore` API instead.
-        """
-        warnings.warn(
-            "ExperimentCache._path is deprecated; use the ArtifactStore "
-            "get/put/exists/delete API",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        path_for = getattr(self.store, "path_for", None)
-        if path_for is None:
-            raise TypeError(
-                f"{type(self.store).__name__} is not directory-backed; "
-                "there is no filesystem path for artifacts"
-            )
-        return path_for(kind, key, suffix)
 
     # -- plumbing --------------------------------------------------------
     def _note_write(self, kind: str, nbytes: int, existed: bool) -> None:

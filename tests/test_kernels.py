@@ -231,18 +231,6 @@ class TestKernelRegistry:
 class TestBackendErrorPaths:
     """Satellite: the documented backend failure modes."""
 
-    def test_missing_cupy_raises_the_documented_runtime_error(self):
-        if _importable("cupy"):
-            pytest.skip("cupy is installed here")
-        with pytest.raises(RuntimeError, match="cupy is not installed"):
-            set_backend("cupy")
-
-    def test_missing_jax_raises_the_documented_runtime_error(self):
-        if _importable("jax"):
-            pytest.skip("jax is installed here")
-        with pytest.raises(RuntimeError, match="jax is not installed"):
-            set_backend("jax")
-
     def test_unknown_backend_lists_available(self):
         with pytest.raises(ValueError) as excinfo:
             set_backend("tpu9000")
@@ -330,12 +318,6 @@ class TestCTier:
         )
         subprocess.run([sys.executable, "-c", load], env=env, check=True)
         assert list((tmp_path / "eval-repro").iterdir()) == [built]
-
-
-def _importable(module: str) -> bool:
-    import importlib.util
-
-    return importlib.util.find_spec(module) is not None
 
 
 # ----------------------------------------------------------------------
