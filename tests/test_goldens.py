@@ -26,19 +26,23 @@ adaptation floats are float64 values, so like ``perfbench/golden/`` they hold fo
 that changes. Otherwise re-record only in a deliberate fidelity change,
 from the repository root::
 
-    PYTHONPATH=src python tests/test_goldens.py
+    PYTHONPATH=src python tests/test_goldens.py [simulate|fuzzy_bank|adaptation|physics ...]
+
+(no argument re-records every file).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.chip.chip import lane_physics
 from repro.core import (
     ADAPTIVE_ENVIRONMENTS,
     BASELINE,
@@ -49,17 +53,22 @@ from repro.core import (
 )
 from repro.core.adaptation import optimize_units_batched
 from repro.core.timeline import run_timelines_batched
+from repro.exps import run_fig8, run_retiming_comparison
 from repro.exps.runner import ExperimentRunner, RunnerConfig
 from repro.microarch import generate_phase_stream
 from repro.microarch import DEFAULT_CORE_CONFIG, CoreConfig, spec2000_like_suite
 from repro.microarch.pipeline import simulate_batch
 from repro.microarch.trace import generate_trace
+from repro.mitigation import reshape_curve
 from repro.ml import bank as bank_module
+from repro.thermal import solve_temperatures, solve_temperatures_lanes
+from repro.timing.paths import StageModifiers
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
 SIM_GOLDEN = GOLDEN_DIR / "simulate.json"
 BANK_GOLDEN = GOLDEN_DIR / "fuzzy_bank.json"
 ADAPT_GOLDEN = GOLDEN_DIR / "adaptation.json"
+PHYSICS_GOLDEN = GOLDEN_DIR / "physics.json"
 
 SIM_INSTRUCTIONS = 4000
 SIM_SEED = 0
@@ -90,6 +99,12 @@ RETUNE_OFF_ENV = TS_ASV_Q_FU
 TIMELINE_ENV = TS_ASV_Q
 TIMELINE_MS = 1200.0
 TIMELINE_SEED = 5
+
+PHYSICS_TH = 343.15
+FIG8_FREQS = 6
+RETIMING_CHIPS = 2
+#: Activity multiplier that drives a subsystem past the runaway cap.
+BLOWUP = 1e4
 
 
 def phase_profiles():
@@ -255,6 +270,115 @@ def adaptation_rows(runner):
     }
 
 
+def _array_row(array):
+    """Shape, dtype and sha256 of an array's bytes (exact float64)."""
+    array = np.ascontiguousarray(array)
+    return {
+        "shape": list(array.shape),
+        "dtype": str(array.dtype),
+        "sha256": hashlib.sha256(array.tobytes()).hexdigest(),
+    }
+
+
+def _thermal_row(solution):
+    return {
+        name: _array_row(getattr(solution, name))
+        for name in ("temperature", "p_dynamic", "p_static", "converged")
+    }
+
+
+def _point_solves(core, novar_core):
+    """``solve_temperatures`` at single (n,) operating points."""
+    n = core.n_subsystems
+    runaway = core.alpha_ref.copy()
+    runaway[0] *= BLOWUP
+    cases = {
+        "variation": (core, np.full(n, 1.1), np.full(n, 0.1), 4.4e9,
+                      core.alpha_ref),
+        "variation/mixed": (core, np.linspace(0.9, 1.2, n),
+                            np.linspace(-0.3, 0.3, n), 3.6e9,
+                            core.alpha_ref * 1.5),
+        "variation/runaway": (core, np.full(n, 1.0), np.zeros(n), 4.0e9,
+                              runaway),
+        "novar": (novar_core, np.full(n, 1.0), np.zeros(n), 4.0e9,
+                  novar_core.alpha_ref),
+    }
+    return {
+        name: _thermal_row(solve_temperatures(c, vdd, vbb, f, a, PHYSICS_TH))
+        for name, (c, vdd, vbb, f, a) in cases.items()
+    }
+
+
+def _lane_solves(core, other_core, novar_core):
+    """``solve_temperatures_lanes`` over shared and stacked cores."""
+    n = core.n_subsystems
+    vdd = np.stack([np.full(n, 0.9), np.full(n, 1.0), np.full(n, 1.15)])
+    vbb = np.stack([np.zeros(n), np.full(n, 0.2), np.full(n, -0.3)])
+    freq = np.array([2.4e9, 4.0e9, 4.8e9])[:, None]
+    activity = np.stack(
+        [core.alpha_ref * 0.05, core.alpha_ref, core.alpha_ref * BLOWUP]
+    )
+    stacked = lane_physics([core, other_core, core])
+    return {
+        "shared": _thermal_row(solve_temperatures_lanes(
+            core, vdd, vbb, freq, activity, PHYSICS_TH
+        )),
+        "stacked": _thermal_row(solve_temperatures_lanes(
+            stacked, vdd, vbb, freq, activity, PHYSICS_TH
+        )),
+        "novar": _thermal_row(solve_temperatures_lanes(
+            novar_core, vdd[:2], vbb[:2], freq[:2],
+            np.stack([novar_core.alpha_ref] * 2), PHYSICS_TH,
+        )),
+    }
+
+
+def _reshape_rows(core):
+    """Before/after PE curves and delays of ``reshape_curve``."""
+    n = core.n_subsystems
+    calib = core.calib
+    freqs = np.linspace(0.85, 1.05, 9) * calib.f_nominal
+    modifiers = StageModifiers(
+        delay_scale=np.where(np.arange(n) % 3 == 0, 0.95, 1.0),
+        sigma_scale=np.where(np.arange(n) % 4 == 1, np.sqrt(2.0), 1.0),
+    )
+    rows = {}
+    for label, mods in (("plain", None), ("modified", modifiers)):
+        result = reshape_curve(
+            core, np.linspace(0.95, 1.15, n), np.linspace(-0.2, 0.2, n),
+            freqs, core.alpha_ref, core.rho_ref, calib.t_heatsink_max, mods,
+        )
+        rows[label] = {
+            "pe_before": _array_row(result.pe_before),
+            "pe_after": _array_row(result.pe_after),
+            "delays_before": [
+                _array_row(result.delays_before.mean),
+                _array_row(result.delays_before.sigma),
+            ],
+            "delays_after": [
+                _array_row(result.delays_after.mean),
+                _array_row(result.delays_after.sigma),
+            ],
+        }
+    return rows
+
+
+def physics_rows(core, other_core, novar_core):
+    """The ``physics.json`` payload."""
+    fig8 = run_fig8(n_freqs=FIG8_FREQS)
+    retiming = run_retiming_comparison(n_chips=RETIMING_CHIPS)
+    return {
+        "point_solves": _point_solves(core, novar_core),
+        "lane_solves": _lane_solves(core, other_core, novar_core),
+        "reshape": _reshape_rows(core),
+        "fig8": {
+            name: _array_row(getattr(fig8, name))
+            for name in ("pe_ts", "perf_ts", "pe_reshaped", "perf_reshaped")
+        },
+        "retiming": asdict(retiming),
+    }
+
+
 def _load(path):
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
@@ -323,38 +447,86 @@ class TestAdaptationGoldens:
         assert rows["timeline"] == golden["timeline"]
 
 
-def _record() -> None:
-    from repro.chip import build_core
+class TestPhysicsGoldens:
+    @pytest.fixture(scope="class")
+    def rows(self, core, other_core, novar_core):
+        return physics_rows(core, other_core, novar_core)
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return _load(PHYSICS_GOLDEN)
+
+    def test_recorded_at_this_scale(self, golden):
+        assert golden["th"] == PHYSICS_TH
+        assert golden["fig8_freqs"] == FIG8_FREQS
+        assert golden["retiming_chips"] == RETIMING_CHIPS
+
+    def test_point_solves_match(self, rows, golden):
+        assert rows["point_solves"] == golden["rows"]["point_solves"]
+
+    def test_lane_solves_match(self, rows, golden):
+        assert rows["lane_solves"] == golden["rows"]["lane_solves"]
+
+    def test_reshape_curves_match(self, rows, golden):
+        assert rows["reshape"] == golden["rows"]["reshape"]
+
+    def test_fig8_panels_match(self, rows, golden):
+        assert rows["fig8"] == golden["rows"]["fig8"]
+
+    def test_retiming_frequencies_match(self, rows, golden):
+        assert rows["retiming"] == golden["rows"]["retiming"]
+
+    def test_rows_include_runaway(self, rows):
+        """The recorded cases keep a runaway subsystem and lane."""
+        point = rows["point_solves"]["variation/runaway"]["converged"]
+        lanes = rows["lane_solves"]["stacked"]["converged"]
+        assert point != rows["point_solves"]["variation"]["converged"]
+        assert lanes["shape"] == [3, 15]
+
+
+def _record(which=None) -> None:
+    from repro.chip import build_core, build_novar_core
     from repro.variation import DieGrid, VariationModel
 
     GOLDEN_DIR.mkdir(exist_ok=True)
-    sim = {
-        "n_instructions": SIM_INSTRUCTIONS,
-        "seed": SIM_SEED,
-        "rows": simulate_rows(),
-    }
-    # The same core as the ``core`` fixture in conftest.py.
+    # The same cores as the fixtures in conftest.py.
     population = VariationModel(grid=DieGrid(nx=24, ny=24)).population(
         6, seed=42
     )
-    bank = {
-        "environment": TS_ASV_ABB.name,
-        "n_examples": BANK_EXAMPLES,
-        "epochs": BANK_EPOCHS,
-        "seed": BANK_SEED,
-        "fcs": bank_rows(build_core(population[0], 0)),
+    core = build_core(population[0], 0)
+    payloads = {
+        SIM_GOLDEN: lambda: {
+            "n_instructions": SIM_INSTRUCTIONS,
+            "seed": SIM_SEED,
+            "rows": simulate_rows(),
+        },
+        BANK_GOLDEN: lambda: {
+            "environment": TS_ASV_ABB.name,
+            "n_examples": BANK_EXAMPLES,
+            "epochs": BANK_EPOCHS,
+            "seed": BANK_SEED,
+            "fcs": bank_rows(core),
+        },
+        ADAPT_GOLDEN: lambda: {
+            "config": asdict(ADAPT_CONFIG),
+            **adaptation_rows(ExperimentRunner(ADAPT_CONFIG)),
+        },
+        PHYSICS_GOLDEN: lambda: {
+            "th": PHYSICS_TH,
+            "fig8_freqs": FIG8_FREQS,
+            "retiming_chips": RETIMING_CHIPS,
+            "rows": physics_rows(
+                core, build_core(population[3], 1), build_novar_core()
+            ),
+        },
     }
-    adaptation = {
-        "config": asdict(ADAPT_CONFIG),
-        **adaptation_rows(ExperimentRunner(ADAPT_CONFIG)),
-    }
-    for path, payload in (
-        (SIM_GOLDEN, sim), (BANK_GOLDEN, bank), (ADAPT_GOLDEN, adaptation)
-    ):
+    for path, payload in payloads.items():
+        if which and path.stem not in which:
+            continue
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
+            json.dump(payload(), handle, indent=1, sort_keys=True)
             handle.write("\n")
 
 
 if __name__ == "__main__":
-    _record()
+    _record(sys.argv[1:])
