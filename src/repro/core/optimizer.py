@@ -30,25 +30,24 @@ blocked; converged lanes drop out of the joint fixed point early
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .. import obs
 from ..backend import get_backend
 from ..calibration import DEFAULT_CALIBRATION, Calibration
-from ..circuits.delay import DEFAULT_DELAY_PARAMS, DelayParams, gate_delay
+from ..circuits.delay import DEFAULT_DELAY_PARAMS, DelayParams
 from ..circuits.knobs import (
     DEFAULT_KNOB_RANGES,
     DEFAULT_VT_SENSITIVITIES,
     KnobRanges,
     VtSensitivities,
-    threshold_voltage,
 )
-from ..chip.chip import Core
+from ..chip.chip import Core, LaneArrays, lane_dataclass, lane_field
 from ..kernels import T_RUNAWAY
 from ..numerics import ndtri
-from ..timing.paths import StageModifiers
+from ..timing.paths import StageModifiers, tilt_then_shift
 
 #: Iteration caps of the joint (f, T) fixed point and the inner thermal
 #: solve; the convergence tolerances mirror ``np.allclose`` defaults.
@@ -62,160 +61,39 @@ _CONVERGENCE_ATOL = 1e-8
 #: the budget, so every temporary of a sweep stays cache-sized.
 _BLOCK_CELLS = 1 << 16
 
-#: The per-lane array fields of :class:`SubsystemArrays`, in declaration
-#: order (used by stacking / lane selection).
-_ARRAY_FIELDS = (
-    "vt0_timing",
-    "leff_timing",
-    "vt0_leak",
-    "rth",
-    "kdyn",
-    "ksta",
-    "alpha",
-    "rho",
-    "stage_mean_rel",
-    "stage_sigma_rel",
-    "power_factor",
-)
-
-
-@dataclass
-class SubsystemArrays:
+@lane_dataclass
+class SubsystemArrays(LaneArrays):
     """Struct-of-arrays inputs for a batch of (pseudo-)subsystems.
 
     ``stage_mean_rel`` already *includes* the random-variation tail and
     any technique delay scaling; ``stage_sigma_rel`` likewise includes
     tilt scaling.  Both are in units of the nominal cycle time.
 
-    All array fields share one shape: ``(n,)`` for a single phase, or
+    All lane fields share one shape: ``(n,)`` for a single phase, or
     ``(B, n)`` for a stack of B independent phases (lanes) solved by one
-    kernel call — see :meth:`stack`.
+    kernel call — see :meth:`~repro.chip.chip.LaneArrays.stack`.
     """
 
-    vt0_timing: np.ndarray
-    leff_timing: np.ndarray
-    vt0_leak: np.ndarray
-    rth: np.ndarray
-    kdyn: np.ndarray
-    ksta: np.ndarray
-    alpha: np.ndarray  # activity factor, accesses/cycle
-    rho: np.ndarray  # exercises/instruction (Eq 4)
-    stage_mean_rel: np.ndarray
-    stage_sigma_rel: np.ndarray
-    power_factor: np.ndarray  # e.g. 1.3 on a low-slope FU
+    vt0_timing: np.ndarray = lane_field()
+    leff_timing: np.ndarray = lane_field()
+    vt0_leak: np.ndarray = lane_field()
+    rth: np.ndarray = lane_field()
+    kdyn: np.ndarray = lane_field()
+    ksta: np.ndarray = lane_field()
+    alpha: np.ndarray = lane_field()  # activity factor, accesses/cycle
+    rho: np.ndarray = lane_field()  # exercises/instruction (Eq 4)
+    stage_mean_rel: np.ndarray = lane_field()
+    stage_sigma_rel: np.ndarray = lane_field()
+    power_factor: np.ndarray = lane_field()  # e.g. 1.3 on a low-slope FU
     calib: Calibration = DEFAULT_CALIBRATION
     delay_params: DelayParams = DEFAULT_DELAY_PARAMS
     vt_sens: VtSensitivities = DEFAULT_VT_SENSITIVITIES
     vt_mean: float = 0.150
 
-    def __post_init__(self) -> None:
-        shape = self.vt0_timing.shape
-        if self.vt0_timing.ndim not in (1, 2):
-            raise ValueError(
-                "subsystem arrays must be (n,) or (batch, n), got "
-                f"shape {shape}"
-            )
-        for name in _ARRAY_FIELDS[1:]:
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must have shape {shape}")
-        vt_design = threshold_voltage(
-            self.vt_mean,
-            self.calib.t_design,
-            self.calib.vdd_nominal,
-            0.0,
-            self.vt_sens,
-        )
-        self._nominal_gate_delay = float(
-            gate_delay(
-                self.calib.vdd_nominal,
-                vt_design,
-                1.0,
-                self.calib.t_design,
-                self.delay_params,
-            )
-        )
-
     def __len__(self) -> int:
         return self.vt0_timing.shape[-1]
 
-    # -- batch-axis structure -------------------------------------------
-    @property
-    def n_subsystems(self) -> int:
-        """Subsystems (or samples) along the trailing axis."""
-        return self.vt0_timing.shape[-1]
-
-    @property
-    def is_batched(self) -> bool:
-        """True when a leading lane axis is present."""
-        return self.vt0_timing.ndim == 2
-
-    @property
-    def batch_size(self) -> int:
-        """Number of lanes (1 for an unbatched view)."""
-        return self.vt0_timing.shape[0] if self.is_batched else 1
-
-    def _scalar_fields(self) -> dict:
-        return {
-            "calib": self.calib,
-            "delay_params": self.delay_params,
-            "vt_sens": self.vt_sens,
-            "vt_mean": self.vt_mean,
-        }
-
-    @classmethod
-    def stack(cls, batches: "Sequence[SubsystemArrays]") -> "SubsystemArrays":
-        """Stack unbatched views into one ``(B, n)`` lane batch.
-
-        All members must share the calibration, delay/Vt parameters and
-        subsystem count — one kernel sweep solves the whole stack.
-        """
-        if not batches:
-            raise ValueError("need at least one batch to stack")
-        first = batches[0]
-        for member in batches:
-            if member.is_batched:
-                raise ValueError("can only stack unbatched (n,) views")
-            if len(member) != len(first):
-                raise ValueError("all stacked batches need equal n_subsystems")
-            if (
-                member.calib is not first.calib
-                or member.delay_params is not first.delay_params
-                or member.vt_sens is not first.vt_sens
-                or member.vt_mean != first.vt_mean
-            ):
-                raise ValueError(
-                    "stacked batches must share calibration and parameters"
-                )
-        arrays = {
-            name: np.stack([getattr(member, name) for member in batches])
-            for name in _ARRAY_FIELDS
-        }
-        return cls(**arrays, **first._scalar_fields())
-
-    def lanes(self) -> "SubsystemArrays":
-        """A ``(B, n)`` view of self (B=1 when unbatched)."""
-        if self.is_batched:
-            return self
-        arrays = {
-            name: getattr(self, name)[None, :] for name in _ARRAY_FIELDS
-        }
-        return SubsystemArrays(**arrays, **self._scalar_fields())
-
-    def lane_subset(self, index: np.ndarray) -> "SubsystemArrays":
-        """The batched view restricted to the given lanes (an index
-        array, or a slice for views of a contiguous block)."""
-        if not self.is_batched:
-            raise ValueError("lane_subset requires a batched view")
-        arrays = {name: getattr(self, name)[index] for name in _ARRAY_FIELDS}
-        return SubsystemArrays(**arrays, **self._scalar_fields())
-
     # -- physics, broadcasting over leading knob axes -------------------
-    def delay_factor(self, vdd, vbb, temp):
-        """Gate-delay factor relative to the nominal design point."""
-        vt = threshold_voltage(self.vt0_timing, temp, vdd, vbb, self.vt_sens)
-        delay = gate_delay(vdd, vt, self.leff_timing, temp, self.delay_params)
-        return delay / self._nominal_gate_delay
-
     def p_static(self, vdd, vbb, temp):
         """Leakage power in watts (fused Eq 9 + Eq 8 kernel)."""
         _, p_sta = get_backend().kernel("vt_and_static_power")(
@@ -251,34 +129,37 @@ def core_subsystem_arrays(
     modifiers: Optional[StageModifiers] = None,
     power_factor: Optional[np.ndarray] = None,
 ) -> SubsystemArrays:
-    """Build the optimiser view of a real core for one workload phase."""
-    n = core.n_subsystems
+    """Build the optimiser view of a real core for one workload phase.
+
+    ``core`` may be one core with ``(n,)`` phase inputs or a stacked
+    ``(B, n)`` core with ``(B, n)`` inputs.  The phase fields (activity,
+    error weights, technique-folded stage shape and power factor) are
+    built here; every other lane field is the core's own.
+    """
     mean = core.stage_mean_rel + core.tail_rel
     sigma = core.stage_sigma_rel.copy()
     if modifiers is not None:
-        free = mean + core.calib.z_free * sigma
-        sigma = sigma * modifiers.sigma_scale
-        mean = free - core.calib.z_free * sigma
-        mean = mean * modifiers.delay_scale
-        sigma = sigma * modifiers.delay_scale
-    return SubsystemArrays(
-        vt0_timing=core.vt0_timing,
-        leff_timing=core.leff_timing,
-        vt0_leak=core.vt0_leak,
-        rth=core.rth,
-        kdyn=core.kdyn,
-        ksta=core.ksta,
-        alpha=np.asarray(activity, dtype=float),
-        rho=np.asarray(rho, dtype=float),
-        stage_mean_rel=mean,
-        stage_sigma_rel=sigma,
-        power_factor=(
-            power_factor if power_factor is not None else np.ones(n)
+        mean, sigma = tilt_then_shift(
+            mean, sigma, core.calib.z_free,
+            modifiers.sigma_scale, modifiers.delay_scale,
+        )
+    phase = {
+        "alpha": np.asarray(activity, dtype=float),
+        "rho": np.asarray(rho, dtype=float),
+        "stage_mean_rel": mean,
+        "stage_sigma_rel": sigma,
+        "power_factor": (
+            power_factor if power_factor is not None
+            else np.ones(core.vt0_timing.shape)
         ),
-        calib=core.calib,
-        delay_params=core.delay_params,
-        vt_sens=core.vt_sens,
-        vt_mean=core.vt_mean,
+    }
+    return SubsystemArrays(
+        **{name: getattr(core, name) for name in SubsystemArrays.context_fields},
+        **{
+            name: getattr(core, name)
+            for name in SubsystemArrays.lane_fields if name not in phase
+        },
+        **phase,
     )
 
 

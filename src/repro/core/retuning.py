@@ -132,7 +132,7 @@ def retune_batched(
     retires from each loop exactly when it would alone, so its result
     never depends on its batch-mates.  All lanes may share one core
     (pass ``[core] * n``) or carry distinct cores of one population,
-    stacked into a :class:`~repro.chip.chip.CoreLanes` tensor once.
+    stacked into one ``(B, n)`` :class:`~repro.chip.chip.Core` once.
     """
     n_lanes = len(configs)
     cores = list(cores)
@@ -141,14 +141,14 @@ def retune_batched(
     if n_lanes == 0:
         return []
     node = lane_physics(cores)
-    shared = node is cores[0]
 
     step = knob_ranges.f_step
     f_min, f_max = knob_ranges.f_min, knob_ranges.f_max
 
     def check(lanes, freqs) -> List[EvaluatedState]:
         return evaluate_configurations(
-            node if shared else node.lane_subset(np.asarray(lanes, dtype=int)),
+            node.lane_subset(np.asarray(lanes, dtype=int))
+            if node.is_batched else node,
             [configs[i].with_frequency(freq) for i, freq in zip(lanes, freqs)],
             [activities[i] for i in lanes],
             [rhos[i] for i in lanes],

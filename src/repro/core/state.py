@@ -151,9 +151,9 @@ def evaluate_configurations(
     is what that lane settles to alone.
 
     ``core`` may be a single :class:`Core` (all lanes share its physics)
-    or a :class:`~repro.chip.chip.CoreLanes` population whose lane axis
-    matches ``configs`` — the population-tier batched paths use the
-    latter to settle every (chip, core) unit of a block in one pass.
+    or a stacked ``(B, n)`` core whose lane axis matches ``configs`` —
+    the population-tier batched paths use the latter to settle every
+    (chip, core) unit of a block in one pass.
     """
     calib = core.calib
     th = calib.t_heatsink_max if t_heatsink is None else t_heatsink

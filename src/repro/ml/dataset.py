@@ -40,6 +40,7 @@ from ..core.optimizer import (
     freq_algorithm,
     power_algorithm,
 )
+from ..timing.paths import tilt_then_shift
 from ..units import celsius_to_kelvin
 
 #: Column order of the FC input vectors.
@@ -130,20 +131,18 @@ def _batch_arrays(
     """Build a SubsystemArrays batch where each row is one sample.
 
     Mirrors :func:`repro.chip.chip.build_core` (including the stage
-    criticality scaling) and the technique transforms of
-    :func:`repro.core.optimizer.core_subsystem_arrays`, so training and
-    deployment see the same physics.
+    criticality scaling) and applies the technique transform of
+    :func:`repro.timing.paths.tilt_then_shift`, as deployment does, so
+    training and deployment see the same physics.
     """
     calib = core.calib
     spec = core.floorplan.subsystems[index]
     n = len(samples.th)
     sigma_base = calib.stage_sigma[spec.kind] * spec.criticality
     mean_base = calib.stage_mean(spec.kind) * spec.criticality + samples.tail
-    # Tilt preserves the error-free point; then shift scales everything.
-    free = mean_base + calib.z_free * sigma_base
-    sigma = sigma_base * sigma_scale
-    mean = (free - calib.z_free * sigma) * delay_scale
-    sigma = sigma * delay_scale
+    mean, sigma = tilt_then_shift(
+        mean_base, sigma_base, calib.z_free, sigma_scale, delay_scale
+    )
     return SubsystemArrays(
         vt0_timing=samples.vt0_timing,
         leff_timing=samples.leff,

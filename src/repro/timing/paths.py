@@ -82,6 +82,20 @@ class StageDelays:
         return 1.0 / self.error_free_period()
 
 
+def tilt_then_shift(mean, sigma, z_free, sigma_scale, delay_scale):
+    """Apply a technique's Figure 5 update to a stage-delay distribution.
+
+    *Tilt* first: ``sigma`` is multiplied by ``sigma_scale`` while the
+    error-free point ``mean + z_free * sigma`` is held fixed.  Then
+    *shift*: both ``mean`` and ``sigma`` are multiplied by ``delay_scale``.
+    Operands broadcast; returns the new ``(mean, sigma)``.
+    """
+    free = mean + z_free * sigma
+    sigma = sigma * sigma_scale
+    mean = (free - z_free * sigma) * delay_scale
+    return mean, sigma * delay_scale
+
+
 def stage_delays(
     core: Core,
     vdd,
@@ -104,10 +118,8 @@ def stage_delays(
     mean = t_cycle * d * (core.stage_mean_rel + core.tail_rel)
     sigma = t_cycle * d * core.stage_sigma_rel
     if modifiers is not None:
-        # Tilt first (preserves the error-free point), then shift.
-        free = mean + calib.z_free * sigma
-        sigma = sigma * modifiers.sigma_scale
-        mean = free - calib.z_free * sigma
-        mean = mean * modifiers.delay_scale
-        sigma = sigma * modifiers.delay_scale
+        mean, sigma = tilt_then_shift(
+            mean, sigma, calib.z_free,
+            modifiers.sigma_scale, modifiers.delay_scale,
+        )
     return StageDelays(mean=mean, sigma=sigma, z_free=calib.z_free)

@@ -28,7 +28,7 @@ from repro.backend import (
     reset_backend,
     set_backend,
 )
-from repro.chip.chip import CoreLanes
+from repro.chip.chip import Core
 from repro.circuits.knobs import DEFAULT_VT_SENSITIVITIES, threshold_voltage
 from repro.circuits.leakage import IDEALITY_FACTOR, static_power
 from repro.core import (
@@ -651,7 +651,7 @@ class TestSolverParity:
         _assert_bitwise(ref.converged, out.converged)
 
     def test_solve_temperatures_lanes(self, core, other_core, impl):
-        lanes = CoreLanes.stack([core, other_core])
+        lanes = Core.stack([core, other_core])
         n = core.n_subsystems
         vdd = np.stack([np.full(n, 1.0), np.full(n, 1.2)])
         vbb = np.stack([np.zeros(n), np.full(n, -0.2)])
@@ -756,7 +756,7 @@ class TestThermalRunaway:
     def test_lane_runaway_stays_lane_local(self, core, other_core, batched_core):
         n = core.n_subsystems
         if batched_core == "lanes":
-            node = CoreLanes.stack([core, other_core])
+            node = Core.stack([core, other_core])
             alpha = [core.alpha_ref, other_core.alpha_ref]
         else:
             node = core

@@ -19,6 +19,7 @@ key.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 
 import numpy as np
 import pytest
@@ -28,10 +29,11 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.backend import available_backends, get_backend, set_backend
 from repro.obs import MetricsRegistry
-from repro.chip.chip import CoreLanes, build_core, build_novar_core
+from repro.chip.chip import Core, build_core, build_novar_core
 from repro.config import Settings
 from repro.core import TS, TS_ASV, TS_ASV_Q_FU, AdaptationMode
 from repro.core.adaptation import optimize_units_batched
+from repro.core.optimizer import core_subsystem_arrays
 from repro.core.retuning import retune, retune_batched
 from repro.core.state import Configuration
 from repro.core.timeline import run_timeline, run_timelines_batched
@@ -47,6 +49,7 @@ from repro.microarch.simulator import (
 )
 from repro.microarch.workloads import WorkloadProfile
 from repro.mitigation.base import TechniqueState
+from repro.thermal import solve_temperatures_lanes
 
 UNIT_CONFIG = RunnerConfig(
     n_chips=3,
@@ -501,7 +504,7 @@ class TestStackedPhaseArrays:
     def test_matches_per_lane_stack(self, population, int_measurement,
                                     fp_measurement):
         from repro.core.adaptation import _phase_arrays, _stacked_phase_arrays
-        from repro.core.optimizer import _ARRAY_FIELDS, SubsystemArrays
+        from repro.core.optimizer import SubsystemArrays
 
         cores = [build_core(chip, 0) for chip in population[:3]]
         lane_cores = [core for core in cores for _ in range(2)]
@@ -518,7 +521,7 @@ class TestStackedPhaseArrays:
             )
         ])
         fast = _stacked_phase_arrays(lane_cores, techniques, measurements)
-        for name in _ARRAY_FIELDS:
+        for name in SubsystemArrays.lane_fields:
             assert np.array_equal(
                 getattr(fast, name), getattr(reference, name)
             ), name
@@ -537,12 +540,12 @@ class TestStackedPhaseArrays:
 
 
 # ----------------------------------------------------------------------
-# CoreLanes: the stacked population view itself.
+# A stacked Core: the population view itself.
 # ----------------------------------------------------------------------
-class TestCoreLanes:
+class TestStackedCore:
     def test_stack_matches_per_core_physics(self, population):
         cores = [build_core(chip, 0) for chip in population[:3]]
-        lanes = CoreLanes.stack(cores)
+        lanes = Core.stack(cores)
         assert lanes.batch_size == 3
         vdd = np.full((3, lanes.n_subsystems), 1.0)
         temp = np.full((3, lanes.n_subsystems), 345.0)
@@ -562,7 +565,7 @@ class TestCoreLanes:
 
     def test_lane_subset_preserves_lanes(self, population):
         cores = [build_core(chip, 0) for chip in population[:4]]
-        lanes = CoreLanes.stack(cores)
+        lanes = Core.stack(cores)
         subset = lanes.lane_subset(np.array([2, 0]))
         assert subset.batch_size == 2
         assert np.array_equal(subset.vt0_timing[0], lanes.vt0_timing[2])
@@ -571,4 +574,106 @@ class TestCoreLanes:
     def test_novar_core_refuses_to_stack_with_variation(self, population):
         cores = [build_core(population[0], 0), build_novar_core()]
         with pytest.raises(ValueError):
-            CoreLanes.stack(cores)
+            Core.stack(cores)
+
+
+# ----------------------------------------------------------------------
+# Lane fields: stack/lane_subset cover every array field, and a lane's
+# fields reach only that lane's physics.
+# ----------------------------------------------------------------------
+def _carriers(population):
+    """(cores, their optimiser views): three distinct lanes of each."""
+    cores = [build_core(chip, index) for chip, index in zip(population, (0, 1, 3))]
+    views = [
+        core_subsystem_arrays(
+            core, core.alpha_ref * (1.0 + lane), core.rho_ref,
+            power_factor=np.full(core.n_subsystems, 1.0 + 0.1 * lane),
+        )
+        for lane, core in enumerate(cores)
+    ]
+    return {"core": cores, "subsystems": views}
+
+
+class TestLaneFieldCoverage:
+    @pytest.mark.parametrize("carrier", ["core", "subsystems"])
+    def test_stack_and_subset_handle_every_array_field(self, population, carrier):
+        members = _carriers(population)[carrier]
+        stacked = type(members[0]).stack(members)
+        pick = np.array([2, 0])
+        subset = stacked.lane_subset(pick)
+        names = [f.name for f in dataclasses.fields(stacked)]
+        array_fields = {
+            name for name in names
+            if isinstance(getattr(stacked, name), np.ndarray)
+        }
+        stacked_fields = {
+            name for name in names
+            if np.shape(getattr(stacked, name))[:1] == (len(members),)
+            and np.array_equal(
+                getattr(stacked, name),
+                np.stack([getattr(member, name) for member in members]),
+            )
+        }
+        subset_fields = {
+            name for name in names
+            if isinstance(getattr(subset, name), np.ndarray)
+            and np.array_equal(
+                getattr(subset, name), getattr(stacked, name)[pick]
+            )
+        }
+        assert set(array_fields) == set(stacked_fields)
+        assert set(array_fields) == set(subset_fields)
+        assert set(array_fields) == set(type(stacked).lane_fields)
+
+    @pytest.mark.parametrize("carrier", ["core", "subsystems"])
+    def test_lane_fields_split_into_subsystem_and_scalar(self, population,
+                                                         carrier):
+        cls = type(_carriers(population)[carrier][0])
+        assert set(cls.lane_fields) == (
+            set(cls.subsystem_fields) | set(cls.scalar_fields)
+        )
+        assert not set(cls.lane_fields) & set(cls.context_fields)
+        assert {f.name for f in dataclasses.fields(cls)} == (
+            set(cls.lane_fields) | set(cls.context_fields)
+        )
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_perturbing_one_lane_changes_only_that_lane(self, population,
+                                                        data):
+        carrier = data.draw(st.sampled_from(["core", "subsystems"]))
+        stacked = type(_carriers(population)[carrier][0]).stack(
+            _carriers(population)[carrier]
+        )
+        name = data.draw(st.sampled_from(stacked.subsystem_fields))
+        lane = data.draw(st.integers(0, stacked.batch_size - 1))
+        column = data.draw(st.integers(0, stacked.n_subsystems - 1))
+        scale = data.draw(st.floats(0.5, 1.5))
+        values = getattr(stacked, name).copy()
+        values[lane, column] *= scale
+        perturbed = dataclasses.replace(stacked, **{name: values})
+
+        shape = (stacked.batch_size, stacked.n_subsystems)
+        vdd = np.full(shape, 1.05)
+        vbb = np.full(shape, -0.1)
+        temp = np.full(shape, 352.0)
+        others = np.arange(stacked.batch_size) != lane
+
+        def physics(node):
+            if carrier == "core":
+                static = node.subsystem_static_power(vdd, vbb, temp)
+                solved = solve_temperatures_lanes(
+                    node, vdd, vbb, 4.0e9, node.alpha_ref, 343.15
+                )
+                solution = [
+                    solved.temperature, solved.p_dynamic, solved.p_static,
+                    solved.converged,
+                ]
+            else:
+                static = node.p_static(vdd, vbb, temp)
+                solution = []
+            return [node.delay_factor(vdd, vbb, temp), static] + solution
+
+        for before, after in zip(physics(stacked), physics(perturbed)):
+            assert np.array_equal(before[others], after[others]), name
+

@@ -68,8 +68,9 @@ class TestSolver:
     def test_broadcast_over_knob_grid(self, core):
         n = core.n_subsystems
         vdd = np.array([0.9, 1.0, 1.1])[:, None]
-        sol = solve_temperatures(
-            core, vdd, np.zeros(n), 4e9, core.alpha_ref, 343.15
+        sol = solve_temperatures_lanes(
+            core, np.broadcast_to(vdd, (3, n)), np.zeros((3, n)), 4e9,
+            np.stack([core.alpha_ref] * 3), 343.15,
         )
         assert sol.temperature.shape == (3, n)
         assert np.all(np.diff(sol.temperature, axis=0) > 0)
@@ -141,6 +142,16 @@ class TestLaneSolver:
         )
         assert solves == 3
         assert batched_values == serial_values
+
+
+    def test_rejects_a_single_operating_point(self, core):
+        """An (n,) state is one point, not n lanes."""
+        n = core.n_subsystems
+        with pytest.raises(ValueError, match="lane state"):
+            solve_temperatures_lanes(
+                core, np.full(n, 1.0), np.zeros(n), 4.0e9, core.alpha_ref,
+                343.15,
+            )
 
 
 class TestSensors:
